@@ -59,12 +59,8 @@ from repro.pipeline.engine import (
     DEFAULT_CHUNK_DEADLINE_S,
     DEFAULT_MAX_CHUNK_RETRIES,
 )
-from repro.recipedb.corpus import (
-    iter_recipes_jsonl,
-    load_recipes_jsonl,
-    save_recipes_jsonl,
-)
-from repro.deadletter import REPORT_NAME, write_report_jsonl
+from repro.recipedb.corpus import iter_recipes_jsonl, save_recipes_jsonl
+from repro.deadletter import REPORT_NAME, DeadLetterLog, write_report_jsonl
 from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
 from repro.runs import (
     RunError,
@@ -85,6 +81,20 @@ from repro.eval.tables import (
     render_table_iii,
     render_table_iv,
 )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (a usage error,
+    exit 2, otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        )
+    return value
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -148,6 +158,9 @@ def _spec_from_args(args: argparse.Namespace) -> EstimatorSpec:
     artifact = getattr(args, "artifact", None)
     return EstimatorSpec(artifact_path=artifact or None)
 
+
+#: Exit code for a corpus line that is not a valid recipe (EX_DATAERR).
+EXIT_DATA_ERROR = 65
 
 #: Exit code for a batch run stopped by SIGINT/SIGTERM after flushing
 #: its journal and dead-letter report.  Distinct from crashes (which
@@ -234,9 +247,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"corpus protocol; --passes {args.passes} is ignored"
         )
 
-    def show(recipe, est) -> None:
+    def show(title, est) -> None:
         print(
-            f"{recipe.title[:40]:42} {est.per_serving.calories:9.1f} "
+            f"{title[:40]:42} {est.per_serving.calories:9.1f} "
             f"kcal/serving  {100 * est.fraction_fully_mapped:5.1f}% mapped"
         )
 
@@ -247,10 +260,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     reason_tally = ReasonTally() if args.reasons else None
     report = None
     if use_engine:
-        # Sharded/streaming path: the engine traverses the file itself
-        # (twice, bounded memory); recipes stream alongside for titles
-        # and results print as they arrive.  Estimation is lazy here,
-        # so the timer necessarily spans the consuming loop.
+        # Sharded/streaming path: the engine decodes the file itself,
+        # once, keeping the titles alongside its compact line table;
+        # results print as they arrive.  Estimation is lazy here, so
+        # the timer necessarily spans the consuming loop.
         quarantine = not args.strict
         engine = ShardedCorpusEstimator(
             spec,
@@ -262,11 +275,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             run_dir=run_dir,
             resume=resume,
             dedup=False if args.no_dedup else None,
-        )
-        recipe_stream = (
-            iter_recipes_jsonl(args.path, on_error="skip")
-            if quarantine
-            else iter_recipes_jsonl(args.path)
         )
         if run_dir is not None:
             print(f"durable run directory: {run_dir}")
@@ -280,15 +288,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         }
         start = time.perf_counter()
         try:
-            for recipe, est in zip(
-                recipe_stream,
-                engine.iter_corpus_estimates(args.path),
-            ):
+            for title, est in engine.iter_titled_estimates(args.path):
                 n_recipes += 1
                 lines += len(est.ingredients)
                 if reason_tally is not None:
                     reason_tally.add_recipe(est)
-                show(recipe, est)
+                show(title, est)
         except _Interrupted as exc:
             name = signal.Signals(exc.signum).name
             report = engine.last_report
@@ -332,8 +337,22 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # In-memory path: the same two-phase corpus protocol as the
         # engine (identical results at any --workers), timed without
         # the printing.  --passes 1 keeps the incremental single-pass
-        # behaviour.
-        recipes = load_recipes_jsonl(args.path)
+        # behaviour.  A line that is not a valid recipe is a data
+        # error: name the first one and exit instead of estimating.
+        bad_lines = DeadLetterLog()
+        recipes = list(
+            iter_recipes_jsonl(
+                args.path, on_error="skip", dead_letters=bad_lines
+            )
+        )
+        if bad_lines:
+            first = bad_lines.records[0]
+            print(
+                f"error: {args.path}:{first.line_no}: not a valid recipe "
+                f"({first.reason}: {first.detail}); {len(bad_lines)} bad "
+                "line(s) in total"
+            )
+            return EXIT_DATA_ERROR
         estimator = spec.build()
         start = time.perf_counter()
         estimates = estimator.estimate_corpus(recipes, passes=args.passes)
@@ -343,7 +362,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             lines += len(est.ingredients)
             if reason_tally is not None:
                 reason_tally.add_recipe(est)
-            show(recipe, est)
+            show(recipe.title, est)
         mode = (
             "1 pass(es)" if args.passes == 1
             else "in-process, two-phase corpus protocol"
@@ -542,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate = sub.add_parser("estimate", help="estimate a recipe's profile")
     estimate.add_argument("phrases", nargs="+", help="ingredient phrases")
-    estimate.add_argument("--servings", type=int, default=1)
+    estimate.add_argument("--servings", type=_positive_int, default=1)
     estimate.set_defaults(func=_cmd_estimate)
 
     parse = sub.add_parser("parse", help="show NER extraction for phrases")

@@ -4,9 +4,11 @@ Distributes the two-phase corpus protocol of
 :meth:`NutritionEstimator.estimate_corpus` across a supervised
 process pool:
 
-1. **Collect (sharded)** — the coordinator streams the corpus once to
-   count distinct ingredient lines (first-occurrence order), then
-   fans chunks of ``(text, count)`` out to workers.  Each worker
+1. **Collect (sharded)** — the coordinator decodes the corpus exactly
+   once into a compact per-recipe line-id table (:class:`CorpusTable`:
+   distinct ingredient lines in first-occurrence order, one
+   distinct-line id per occurrence, per-recipe bounds and servings),
+   then fans chunks of ``(text, count)`` out to workers.  Each worker
    estimates its chunk without the corpus fallback and returns
    compact wire estimates plus a mergeable unit-observation snapshot.
 2. **Merge** — snapshots merge in chunk order
@@ -15,9 +17,10 @@ process pool:
 3. **Re-estimate (sharded)** — only lines that matched a description
    but failed unit resolution go back to the pool, which re-estimates
    them against the frozen merged table.
-4. **Assemble** — the coordinator streams the corpus a second time
-   and aggregates per-recipe results with the same float-operation
-   order as the single-process path.
+4. **Assemble** — the coordinator walks the line-id table recipe by
+   recipe, without decoding the corpus again, and aggregates
+   per-recipe results with the same float-operation order as the
+   single-process path.
 
 Every per-line outcome depends only on the line text and the merged
 table — never on processing order — so the result is **bit-identical**
@@ -49,8 +52,10 @@ missing), which composes with the exact-parity property: a run killed
 at any chunk boundary — or mid-append, leaving a torn journal tail —
 resumes to bit-identical output (``tests/test_durable_resume.py``).
 
-Memory is bounded by the distinct-line working set: recipes are
-streamed (see :func:`repro.recipedb.corpus.iter_recipes_jsonl`), and
+Memory is bounded by the distinct-line table plus 4 bytes per
+ingredient-line occurrence and each recipe's servings and bounds:
+recipes are decoded one at a time (see
+:func:`repro.recipedb.corpus.iter_recipes_jsonl`) and never kept, and
 each worker holds at most one chunk at a time.
 
 **Columnar hot path** (ISSUE 9): workers (and the ``workers=1``
@@ -72,8 +77,8 @@ observations are weighted by multiplicity
 identical counts *and* identical key insertion order — hence the same
 ``most_common`` tie-breaks — as n repeated observes, and phase-3
 estimates are pure functions of (text, frozen table), so per-distinct
-results expand to per-occurrence results losslessly on the assembly
-pass.  ``REPRO_DEDUP=0`` (or ``dedup=False`` / the CLI's
+results expand to per-occurrence results losslessly at assembly.
+``REPRO_DEDUP=0`` (or ``dedup=False`` / the CLI's
 ``--no-dedup``) pins the per-occurrence oracle: the line table keeps
 one ``(text, 1)`` entry per occurrence in corpus order, and the
 differential suites byte-compare the two modes end to end
@@ -103,10 +108,11 @@ import dataclasses
 import os
 import time
 import weakref
+from array import array
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 from repro import __version__, faults
@@ -127,9 +133,9 @@ from repro.runs import DurableRun, RunError, RunJournalError, RunManifest
 from repro.runs.manifest import corpus_identity, new_run_id
 from repro.units.fallback import UnitFallback, snapshot_digest
 
-#: A corpus source the engine can traverse twice: an in-memory
-#: sequence, or a path to a JSONL file (re-streamed per pass).
-CorpusSource = Sequence[Recipe] | str | Path
+#: A corpus source: any iterable of recipes (traversed once, so a
+#: one-shot generator works), or a path to a JSONL file.
+CorpusSource = Iterable[Recipe] | str | Path
 
 #: Default per-chunk wall-clock budget before a worker is presumed
 #: hung.  Generous: a 512-line chunk estimates in well under a second
@@ -307,6 +313,75 @@ def _chunked(items, size: int) -> Iterator[list]:
     iterator = iter(items)
     while chunk := list(islice(iterator, size)):
         yield chunk
+
+
+@dataclass
+class CorpusTable:
+    """A corpus reduced to what estimation and assembly need.
+
+    Built in the engine's single corpus traversal; each recipe is
+    decoded once and dropped.  Recipe ``k`` is the ingredient lines
+    ``texts[i] for i in ids[ends[k - 1]:ends[k]]`` (``ends[-1]`` read
+    as 0) with ``servings[k]`` servings.
+    """
+
+    #: Distinct ingredient lines, in first-occurrence order.
+    texts: list[str]
+    #: One distinct-line id (index into *texts*) per line occurrence,
+    #: in corpus order.
+    ids: array
+    #: Per-recipe end offset into *ids*.
+    ends: array
+    servings: list[int]
+    #: Recipe titles, kept only when the caller asked for them.
+    titles: list[str] | None = None
+
+    @classmethod
+    def build(
+        cls, recipes: Iterable[Recipe], *, titles: bool = False
+    ) -> "CorpusTable":
+        index: dict[str, int] = {}
+        intern = index.setdefault
+        ids = array("i")
+        ends = array("q")
+        servings: list[int] = []
+        kept: list[str] | None = [] if titles else None
+        for recipe in recipes:
+            # len(index) is read before each setdefault, so a new text
+            # gets the next id and a known one keeps its own.
+            ids.extend([
+                intern(text, len(index)) for text in recipe.ingredient_texts
+            ])
+            ends.append(len(ids))
+            servings.append(recipe.servings)
+            if kept is not None:
+                kept.append(recipe.title)
+        return cls(list(index), ids, ends, servings, kept)
+
+    def line_table(self, dedup: bool) -> list[tuple[str, int]]:
+        """The ``(text, count)`` entries the run estimates.
+
+        Dedup mode gives one entry per distinct line with its
+        multiplicity, in first-occurrence order, so all downstream
+        work scales with the distinct set.  The oracle mode gives one
+        ``(text, 1)`` entry per occurrence in corpus order instead —
+        identical statistics (a weighted observe equals n repeated
+        observes, and first-occurrence key order is the same either
+        way) at full per-occurrence cost.
+        """
+        texts = self.texts
+        if dedup:
+            counts = Counter(self.ids)
+            return [(text, counts[i]) for i, text in enumerate(texts)]
+        return [(texts[i], 1) for i in self.ids]
+
+    def recipes(self) -> Iterator[tuple[int, array]]:
+        """``(servings, line ids)`` per recipe, in corpus order."""
+        ids = self.ids
+        start = 0
+        for servings, end in zip(self.servings, self.ends):
+            yield servings, ids[start:end]
+            start = end
 
 
 class ShardedCorpusEstimator:
@@ -512,28 +587,6 @@ class ShardedCorpusEstimator:
 
     # ------------------------------------------------------------------
 
-    def _stream(
-        self, source: CorpusSource, dead_letters: DeadLetterLog | None = None
-    ) -> Iterator[Recipe]:
-        """One corpus traversal, quarantine-aware for JSONL sources.
-
-        With quarantine on, malformed lines are skipped on **every**
-        pass (both passes must see the identical recipe stream) but
-        recorded only on the pass that supplies *dead_letters*.
-        """
-        if isinstance(source, (str, Path)):
-            if self._quarantine:
-                return iter_recipes_jsonl(
-                    source, on_error="skip", dead_letters=dead_letters
-                )
-            return iter_recipes_jsonl(source)
-        if isinstance(source, Sequence):
-            return iter(source)
-        raise TypeError(
-            "corpus source must be a Sequence[Recipe] or a JSONL path "
-            f"(the engine traverses it twice), got {type(source).__name__}"
-        )
-
     def _dedup_on(self) -> bool:
         """Resolve the dedup mode for one run (ctor arg, else env)."""
         if self._dedup is not None:
@@ -546,63 +599,72 @@ class ShardedCorpusEstimator:
         )
         return self.last_report
 
-    def _line_table(
-        self, source: CorpusSource, report: RunReport
-    ) -> list[tuple[str, int]]:
-        """First corpus traversal → the line table the run estimates.
+    def _read_table(
+        self, source: CorpusSource, report: RunReport, *, titles: bool
+    ) -> CorpusTable:
+        """The run's one corpus traversal → its :class:`CorpusTable`.
 
-        Dedup mode hash-conses every ingredient line into a
-        distinct-line table with multiplicities (Counter preserves
-        first-occurrence order; counting runs at C speed), so all
-        downstream work scales with the distinct set.  The oracle mode
-        keeps one ``(text, 1)`` entry per occurrence in corpus order
-        instead — identical statistics (a weighted observe equals n
-        repeated observes, and first-occurrence key order is the same
-        either way) at full per-occurrence cost.
+        JSONL sources get the full validating decode.  With quarantine
+        on, malformed lines are skipped and recorded in the report's
+        dead letters with their 1-based file line numbers; otherwise
+        the first one raises.
         """
-        stream = self._stream(source, report.dead_letters)
-        if report.dedup:
-            counts = Counter(
-                text
-                for recipe in stream
-                for text in recipe.ingredient_texts
-            )
-            report.total_lines = sum(counts.values())
-            report.distinct_lines = len(counts)
-            return list(counts.items())
-        lines = [
-            (text, 1)
-            for recipe in stream
-            for text in recipe.ingredient_texts
-        ]
-        report.total_lines = len(lines)
-        report.distinct_lines = len({text for text, _ in lines})
-        return lines
+        if isinstance(source, (str, Path)):
+            if self._quarantine:
+                recipes = iter_recipes_jsonl(
+                    source, on_error="skip", dead_letters=report.dead_letters
+                )
+            else:
+                recipes = iter_recipes_jsonl(source)
+        else:
+            try:
+                recipes = iter(source)
+            except TypeError:
+                raise TypeError(
+                    "corpus source must be an iterable of Recipe or a "
+                    f"JSONL path, got {type(source).__name__}"
+                ) from None
+        table = CorpusTable.build(recipes, titles=titles)
+        report.total_lines = len(table.ids)
+        report.distinct_lines = len(table.texts)
+        return table
 
     @staticmethod
-    def _pull_poisoned(report: RunReport) -> dict[str, tuple[str, str]]:
-        """Lift estimate-source dead letters out for re-numbering.
+    def _renumber_poisoned(report: RunReport, table: CorpusTable) -> None:
+        """Re-number estimate-side dead letters to corpus positions.
 
-        Corpus paths renumber estimate-side letters from line-table
-        ordinals to per-occurrence corpus positions; this removes them
-        from the report (ingest letters keep their 1-based file line
-        numbers) and returns ``truncated input -> (reason, detail)``
-        for the assembly pass to expand.  Estimation is deterministic
-        per text, so every occurrence of a poisoned line shares one
-        reason/detail; running the identical procedure in both dedup
-        modes makes the final report byte-identical across them.
+        Workers number estimate-side letters by line-table ordinal; a
+        corpus run reports one letter per occurrence instead, at its
+        position in the flattened ingredient-line stream (ingest
+        letters keep their 1-based file line numbers).  Estimation is
+        deterministic per text, so every occurrence of a poisoned line
+        shares one reason/detail; running the identical procedure in
+        both dedup modes makes the final report byte-identical across
+        them.
         """
+        log = report.dead_letters
         poisoned: dict[str, tuple[str, str]] = {}
         kept = []
-        for letter in report.dead_letters.records:
+        for letter in log.records:
             if letter.source == "estimate":
                 poisoned.setdefault(
                     letter.input, (letter.reason, letter.detail)
                 )
             else:
                 kept.append(letter)
-        report.dead_letters.replace(kept)
-        return poisoned
+        if not poisoned:
+            return
+        log.replace(kept)
+        texts = table.texts
+        hits = {}
+        for i, text in enumerate(texts):
+            hit = poisoned.get(text[:MAX_INPUT_CHARS])
+            if hit is not None:
+                hits[i] = hit
+        for position, i in enumerate(table.ids):
+            hit = hits.get(i)
+            if hit is not None:
+                log.add("estimate", position, texts[i], hit[0], hit[1])
 
     # ------------------------------------------------------------------
     # durable runs
@@ -688,42 +750,37 @@ class ShardedCorpusEstimator:
     ) -> Iterator[RecipeEstimate]:
         """Stream recipe estimates in corpus order.
 
-        Results are yielded as the second corpus traversal assembles
-        them, so a consumer that writes them out keeps memory bounded
-        by the distinct-line estimate table.
+        The corpus is decoded once, into a compact line-id table; the
+        estimates are then assembled from that table and yielded one
+        recipe at a time, so a consumer that writes them out keeps
+        memory bounded by the distinct-line estimate table plus the
+        line-id table.
         """
-        report = self._begin_run()
-        run = self._durable_run(source, report.dedup)
-        self._note_run(report, run)
-        try:
-            lines = self._line_table(source, report)
-            estimates = self._estimate_table_into(lines, report, run)
-        finally:
-            if run is not None:
-                run.close()
-        # Fan-out: per-distinct estimates expand to per-occurrence
-        # results in corpus order, and estimate-side dead letters are
-        # renumbered to per-occurrence positions in the flattened
-        # ingredient-line stream (same procedure in both dedup modes).
-        poisoned = (
-            self._pull_poisoned(report) if report.dead_letters else {}
-        )
+        for _, estimate in self._assemble(source, titles=False):
+            yield estimate
+
+    def iter_titled_estimates(
+        self, source: CorpusSource
+    ) -> Iterator[tuple[str, RecipeEstimate]]:
+        """:meth:`iter_corpus_estimates` paired with each recipe's title.
+
+        The titles come from the same single corpus traversal (they
+        are kept in the table only for this call), so a caller that
+        prints them never decodes the corpus a second time.
+        """
+        return self._assemble(source, titles=True)
+
+    def _assemble(
+        self, source: CorpusSource, *, titles: bool
+    ) -> Iterator[tuple[str | None, RecipeEstimate]]:
+        """Fan-out: per-distinct estimates expand to per-occurrence
+        results, recipe by recipe, in corpus order."""
+        table, estimates = self._run_corpus(source, titles=titles)[:2]
+        by_id = [estimates[text] for text in table.texts]
         finish = NutritionEstimator.finish_recipe
-        offset = 0
-        for recipe in self._stream(source):
-            texts = recipe.ingredient_texts
-            if poisoned:
-                log = report.dead_letters
-                for j, text in enumerate(texts):
-                    hit = poisoned.get(text[:MAX_INPUT_CHARS])
-                    if hit is not None:
-                        log.add(
-                            "estimate", offset + j, text, hit[0], hit[1]
-                        )
-            offset += len(texts)
-            yield finish(
-                [estimates[text] for text in texts], recipe.servings
-            )
+        names = table.titles if titles else repeat(None)
+        for name, (servings, ids) in zip(names, table.recipes()):
+            yield name, finish([by_id[i] for i in ids], servings)
 
     def corpus_diagnostics(self, source: CorpusSource) -> ReasonBreakdown:
         """Reason-code breakdown over a whole corpus (Figure 2 by cause).
@@ -734,35 +791,35 @@ class ShardedCorpusEstimator:
         every line, weighted by occurrence count, to the §II-C
         strategy that resolved or killed it.
         """
+        _, estimates, lines = self._run_corpus(source, titles=False)
+        return reason_breakdown_from_lines(
+            (estimates[text], count) for text, count in lines
+        )
+
+    def _run_corpus(
+        self, source: CorpusSource, *, titles: bool
+    ) -> tuple[
+        CorpusTable, dict[str, IngredientEstimate], list[tuple[str, int]]
+    ]:
+        """One corpus run: decode once, estimate the line table.
+
+        Returns the corpus table, ``text -> final estimate`` and the
+        ``(text, count)`` line table that was estimated.  Estimate-side
+        dead letters come back re-numbered to per-occurrence corpus
+        positions.
+        """
         report = self._begin_run()
         run = self._durable_run(source, report.dedup)
         self._note_run(report, run)
         try:
-            lines = self._line_table(source, report)
-            table = self._estimate_table_into(lines, report, run)
+            table = self._read_table(source, report, titles=titles)
+            lines = table.line_table(report.dedup)
+            estimates = self._estimate_table_into(lines, report, run)
         finally:
             if run is not None:
                 run.close()
-        poisoned = (
-            self._pull_poisoned(report) if report.dead_letters else {}
-        )
-        if poisoned:
-            # Extra traversal only when something was quarantined: the
-            # letters must carry per-occurrence corpus positions, like
-            # the streaming path's assembly pass produces.
-            log = report.dead_letters
-            offset = 0
-            for recipe in self._stream(source):
-                for j, text in enumerate(recipe.ingredient_texts):
-                    hit = poisoned.get(text[:MAX_INPUT_CHARS])
-                    if hit is not None:
-                        log.add(
-                            "estimate", offset + j, text, hit[0], hit[1]
-                        )
-                offset += len(recipe.ingredient_texts)
-        return reason_breakdown_from_lines(
-            (table[text], count) for text, count in lines
-        )
+        self._renumber_poisoned(report, table)
+        return table, estimates, lines
 
     # ------------------------------------------------------------------
     # execution backends

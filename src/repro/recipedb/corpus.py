@@ -91,9 +91,9 @@ def iter_recipes_jsonl(
     """Stream recipes from a JSONL corpus one at a time.
 
     Memory stays bounded by a single recipe regardless of corpus
-    length — the sharded estimation engine feeds its process pool from
-    this iterator (twice: once to collect distinct-line statistics,
-    once to assemble results), so corpora much larger than RAM work.
+    length.  The sharded estimation engine reads its corpus through
+    this iterator exactly once, keeping only a compact line-id table
+    of what it yields, so corpora much larger than RAM work.
 
     ``on_error`` controls what a malformed line does:
 
@@ -103,8 +103,7 @@ def iter_recipes_jsonl(
       line is recorded in *dead_letters* (when given) with its 1-based
       file line number and a reason code: ``malformed-json`` for
       undecodable JSON, ``invalid-recipe`` for valid JSON missing the
-      recipe schema.  The engine's second corpus traversal passes no
-      log so a bad line is reported once, not once per pass.
+      recipe schema.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip': {on_error!r}")

@@ -148,8 +148,16 @@ CANONICAL_UNITS: frozenset[str] = frozenset(ALIASES)
 
 #: Sizes are "considered equivalent because of ambiguity between sizes"
 #: (paper §II-C): small, medium and large interchange when resolving
-#: portion gram weights.
-SIZE_UNITS: frozenset[str] = frozenset({"small", "medium", "large", "extra large"})
+#: portion gram weights.  A size the food has no portion for takes the
+#: first of these the food does have.  The paper fixes no order;
+#: medium, the middle size, comes first.
+#: Iterate this tuple, never :data:`SIZE_UNITS`: a frozenset of strings
+#: iterates in an order set by the process's ``PYTHONHASHSEED``, which
+#: would make the picked portion differ from run to run.
+SIZE_PREFERENCE: tuple[str, ...] = ("medium", "large", "small", "extra large")
+
+#: The size units, for membership tests.
+SIZE_UNITS: frozenset[str] = frozenset(SIZE_PREFERENCE)
 
 
 def canonicalize_unit(cleaned: str) -> str | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units.aliases import SIZE_UNITS
+from repro.units.aliases import SIZE_PREFERENCE, SIZE_UNITS
 from repro.units.conversions import MASS_GRAMS, VOLUME_ML, is_mass_unit, is_volume_unit
 from repro.units.normalize import normalize_unit
 from repro.usda.schema import FoodItem
@@ -107,7 +107,7 @@ class UnitResolver:
             return UnitResolution(canonical, grams, METHOD_EXACT)
 
         if canonical in SIZE_UNITS:
-            for alt in SIZE_UNITS:
+            for alt in SIZE_PREFERENCE:
                 grams = self._portion_grams.get(alt)
                 if grams is not None:
                     return UnitResolution(canonical, grams, METHOD_SIZE)

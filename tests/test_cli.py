@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestEstimate:
@@ -234,6 +241,58 @@ class TestBatch:
         capsys.readouterr()
         assert main(["batch", str(path), "--workers", "0"]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().out
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestTypedExits:
+    """Bad input ends in a documented exit code and a one-line error,
+    never a traceback: 2 for usage errors, 65 for a corpus line that is
+    not a recipe."""
+
+    @pytest.fixture()
+    def bad_corpus(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        main(["generate", "--recipes", "4", "--out", str(path)])
+        capsys.readouterr()
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "{not json\n"
+        path.write_text("".join(lines))
+        return path
+
+    def test_estimate_zero_servings_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["estimate", "--servings", "0", "1 cup flour"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--servings: must be an integer >= 1, got '0'" in err
+
+    def test_estimate_zero_servings_subprocess(self):
+        done = _run_cli("estimate", "--servings", "0", "1 cup flour")
+        assert done.returncode == 2
+        assert "usage:" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_batch_bad_line_is_data_error(self, bad_corpus, capsys):
+        assert main(["batch", str(bad_corpus)]) == 65
+        out = capsys.readouterr().out
+        assert f"error: {bad_corpus}:3: not a valid recipe" in out
+        assert "malformed-json" in out
+        assert "kcal/serving" not in out
+
+    def test_batch_bad_line_subprocess(self, bad_corpus):
+        done = _run_cli("batch", str(bad_corpus))
+        assert done.returncode == 65
+        assert f"{bad_corpus}:3:" in done.stdout
+        assert "Traceback" not in done.stderr
 
 
 class TestServe:

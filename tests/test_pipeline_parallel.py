@@ -129,10 +129,10 @@ class TestShardedParity:
         streamed = list(engine.iter_corpus_estimates(str(path)))
         assert streamed == reference_estimates
 
-    def test_rejects_non_reiterable_source(self):
+    def test_rejects_non_iterable_source(self):
         engine = ShardedCorpusEstimator(workers=1)
-        with pytest.raises(TypeError):
-            engine.estimate_corpus(iter([]))
+        with pytest.raises(TypeError, match="iterable of Recipe"):
+            engine.estimate_corpus(42)
 
     def test_empty_corpus(self):
         assert ShardedCorpusEstimator(workers=1).estimate_corpus([]) == []

@@ -1,5 +1,10 @@
 """Tests for per-food unit resolution."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.units.gram_weights import (
@@ -68,6 +73,39 @@ class TestSizesAndCounts:
         resolver = UnitResolver(db.get("11477"))
         small = resolver.resolve("small")
         assert small is not None and small.method == METHOD_SIZE
+
+    def test_missing_size_takes_first_size_in_preference_order(self, db):
+        # Zucchini has large and medium portions but no small one: a
+        # small zucchini takes medium, the first of SIZE_PREFERENCE.
+        resolver = UnitResolver(db.get("11477"))
+        assert resolver.resolve("small").grams_per_unit == (
+            resolver.resolve("medium").grams_per_unit
+        )
+
+    def test_size_equivalence_ignores_hash_seed(self):
+        """Every size unit of every food resolves identically under
+        different ``PYTHONHASHSEED`` values (each in a fresh process,
+        since the seed is fixed at interpreter start)."""
+        script = (
+            "from repro.usda.database import load_default_database\n"
+            "from repro.units.gram_weights import UnitResolver\n"
+            "for food in load_default_database():\n"
+            "    resolver = UnitResolver(food)\n"
+            "    for unit in ('small', 'medium', 'large', 'extra large'):\n"
+            "        print(food.ndb_no, unit, resolver.resolve(unit))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=120,
+                check=True,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+        assert "size-equivalent" in outputs.pop()
 
     def test_exact_size_preferred(self, db):
         resolver = UnitResolver(db.get("11282"))  # onion
