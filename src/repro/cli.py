@@ -7,7 +7,7 @@ Subcommands::
     python -m repro match "red lentils" --state rinsed --explain
     python -m repro explain "1 garlic" --context "2 cloves garlic , minced"
     python -m repro generate --recipes 5 --out corpus.jsonl
-    python -m repro batch corpus.jsonl --workers 4 --jsonl --reasons
+    python -m repro batch corpus.jsonl --workers 4 --reasons
     python -m repro batch corpus.jsonl --workers 4 --run-dir runs/
     python -m repro batch --resume runs/run-20260807-.../
     python -m repro runs list runs/
@@ -17,11 +17,10 @@ Subcommands::
 
 ``explain`` renders one line's full pipeline provenance — NER tags,
 description candidates, every §II-C resolution strategy with its
-reason code.  ``batch`` runs the two-phase corpus protocol;
-``--workers N`` (N > 1) fans it out through the sharded multiprocess
-engine, ``--jsonl`` streams the corpus with bounded memory and
-``--reasons`` appends the corpus reason-code breakdown (Figure 2's
-name-vs-full gap by cause).  ``serve`` stands up the
+reason code.  ``batch`` streams the corpus through the two-phase
+corpus engine with bounded memory; ``--workers N`` (N > 1) fans it
+out across worker processes and ``--reasons`` appends the corpus
+reason-code breakdown (Figure 2's name-vs-full gap by cause).  ``serve`` stands up the
 long-lived HTTP JSON API (``/v1/estimate``, ``/v1/estimate_batch``,
 ``/v1/match``, ``/v1/parse``, ``/healthz``, ``/metrics`` — see
 ``docs/api.md``) on a warm shared estimator.  ``build-artifact``
@@ -59,8 +58,8 @@ from repro.pipeline.engine import (
     DEFAULT_CHUNK_DEADLINE_S,
     DEFAULT_MAX_CHUNK_RETRIES,
 )
-from repro.recipedb.corpus import iter_recipes_jsonl, save_recipes_jsonl
-from repro.deadletter import REPORT_NAME, DeadLetterLog, write_report_jsonl
+from repro.recipedb.corpus import CorpusLineError, save_recipes_jsonl
+from repro.deadletter import REPORT_NAME, write_report_jsonl
 from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
 from repro.runs import (
     RunError,
@@ -159,7 +158,8 @@ def _spec_from_args(args: argparse.Namespace) -> EstimatorSpec:
     return EstimatorSpec(artifact_path=artifact or None)
 
 
-#: Exit code for a corpus line that is not a valid recipe (EX_DATAERR).
+#: Exit code for ``batch --strict`` meeting a corpus line that is not a
+#: valid recipe (EX_DATAERR).
 EXIT_DATA_ERROR = 65
 
 #: Exit code for a batch run stopped by SIGINT/SIGTERM after flushing
@@ -182,10 +182,7 @@ def _raise_interrupted(signum, frame):  # noqa: ARG001
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    """Estimate a whole JSONL corpus through the batch pipeline."""
-    if args.passes < 1:
-        print(f"error: --passes must be >= 1, got {args.passes}")
-        return 2
+    """Estimate a whole JSONL corpus through the corpus engine."""
     if args.chunk_deadline < 0:
         print(
             "error: --chunk-deadline must be >= 0 (0 disables), got "
@@ -221,8 +218,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             args.artifact = manifest.database.get("artifact_path") or ""
         if not args.strict and not manifest.config.get("quarantine", True):
             args.strict = True
-        if not args.no_dedup and not manifest.config.get("dedup", True):
-            args.no_dedup = True
     elif args.run_dir:
         run_dir = Path(args.run_dir) / new_run_id()
     if args.path is None:
@@ -239,133 +234,91 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: --chunk-size must be >= 1, got {args.chunk_size}")
         return 2
 
-    spec = _spec_from_args(args)
-    use_engine = args.workers > 1 or args.jsonl or run_dir is not None
-    if use_engine and args.passes != 2:
-        print(
-            "note: the sharded corpus engine always runs the two-phase "
-            f"corpus protocol; --passes {args.passes} is ignored"
-        )
-
-    def show(title, est) -> None:
-        print(
-            f"{title[:40]:42} {est.per_serving.calories:9.1f} "
-            f"kcal/serving  {100 * est.fraction_fully_mapped:5.1f}% mapped"
-        )
-
     n_recipes = 0
     lines = 0
     # Incremental fold, not a buffer: --reasons must not defeat the
-    # bounded memory of the streaming engine path.
+    # engine's bounded memory.
     reason_tally = ReasonTally() if args.reasons else None
-    report = None
-    if use_engine:
-        # Sharded/streaming path: the engine decodes the file itself,
-        # once, keeping the titles alongside its compact line table;
-        # results print as they arrive.  Estimation is lazy here, so
-        # the timer necessarily spans the consuming loop.
-        quarantine = not args.strict
-        engine = ShardedCorpusEstimator(
-            spec,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            quarantine=quarantine,
-            chunk_deadline_s=args.chunk_deadline,
-            max_chunk_retries=args.max_chunk_retries,
-            run_dir=run_dir,
-            resume=resume,
-            dedup=False if args.no_dedup else None,
-        )
-        if run_dir is not None:
-            print(f"durable run directory: {run_dir}")
-        # SIGINT/SIGTERM stop the run *resumably*: every journal frame
-        # is already fsync'd, so the handlers only need to get the
-        # dead-letter report out and stamp the manifest before exiting
-        # with EXIT_INTERRUPTED.
-        previous_handlers = {
-            signum: signal.signal(signum, _raise_interrupted)
-            for signum in (signal.SIGINT, signal.SIGTERM)
-        }
-        start = time.perf_counter()
-        try:
-            for title, est in engine.iter_titled_estimates(args.path):
-                n_recipes += 1
-                lines += len(est.ingredients)
-                if reason_tally is not None:
-                    reason_tally.add_recipe(est)
-                show(title, est)
-        except _Interrupted as exc:
-            name = signal.Signals(exc.signum).name
-            report = engine.last_report
-            if run_dir is not None:
-                if report is not None:
-                    write_report_jsonl(
-                        run_dir / REPORT_NAME,
-                        report.dead_letters,
-                        report.run_id or run_dir.name,
-                    )
-                try:
-                    mark_interrupted(run_dir)
-                except RunError:
-                    pass  # stopped before the manifest existed
-                print(
-                    f"\ninterrupted ({name}); the journal is on disk — "
-                    f"resume with:\n  repro batch --resume {run_dir}"
-                )
-            else:
-                print(f"\ninterrupted ({name})")
-            return EXIT_INTERRUPTED
-        finally:
-            for signum, handler in previous_handlers.items():
-                signal.signal(signum, handler)
-            # Release the persistent worker pool and its shared-memory
-            # artifact segment before the process reports results.
-            engine.close()
-        elapsed = time.perf_counter() - start
-        mode = f"{args.workers} worker(s), two-phase corpus protocol"
-        report = engine.last_report
-        if run_dir is not None and report is not None:
-            # The report lands on every completion — an empty file is
-            # still a statement ("this run quarantined nothing") and
-            # keeps clean-vs-resumed runs byte-diffable.
-            write_report_jsonl(
-                run_dir / REPORT_NAME,
-                report.dead_letters,
-                report.run_id or run_dir.name,
-            )
-    else:
-        # In-memory path: the same two-phase corpus protocol as the
-        # engine (identical results at any --workers), timed without
-        # the printing.  --passes 1 keeps the incremental single-pass
-        # behaviour.  A line that is not a valid recipe is a data
-        # error: name the first one and exit instead of estimating.
-        bad_lines = DeadLetterLog()
-        recipes = list(
-            iter_recipes_jsonl(
-                args.path, on_error="skip", dead_letters=bad_lines
-            )
-        )
-        if bad_lines:
-            first = bad_lines.records[0]
-            print(
-                f"error: {args.path}:{first.line_no}: not a valid recipe "
-                f"({first.reason}: {first.detail}); {len(bad_lines)} bad "
-                "line(s) in total"
-            )
-            return EXIT_DATA_ERROR
-        estimator = spec.build()
-        start = time.perf_counter()
-        estimates = estimator.estimate_corpus(recipes, passes=args.passes)
-        elapsed = time.perf_counter() - start
-        for recipe, est in zip(recipes, estimates):
+    # The engine decodes the file itself, once, keeping the titles
+    # alongside its compact line table; results print as they arrive.
+    # Estimation is lazy here, so the timer necessarily spans the
+    # consuming loop.
+    engine = ShardedCorpusEstimator(
+        _spec_from_args(args),
+        workers=args.workers,
+        chunk_size=args.chunk_size,
+        quarantine=not args.strict,
+        chunk_deadline_s=args.chunk_deadline,
+        max_chunk_retries=args.max_chunk_retries,
+        run_dir=run_dir,
+        resume=resume,
+    )
+    if run_dir is not None:
+        print(f"durable run directory: {run_dir}")
+    # SIGINT/SIGTERM stop the run *resumably*: every journal frame is
+    # already fsync'd, so the handlers only need to get the dead-letter
+    # report out and stamp the manifest before exiting with
+    # EXIT_INTERRUPTED.
+    previous_handlers = {
+        signum: signal.signal(signum, _raise_interrupted)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    start = time.perf_counter()
+    try:
+        for title, est in engine.iter_titled_estimates(args.path):
             n_recipes += 1
             lines += len(est.ingredients)
             if reason_tally is not None:
                 reason_tally.add_recipe(est)
-            show(recipe.title, est)
-        mode = (
-            "1 pass(es)" if args.passes == 1
-            else "in-process, two-phase corpus protocol"
+            print(
+                f"{title[:40]:42} {est.per_serving.calories:9.1f} "
+                f"kcal/serving  {100 * est.fraction_fully_mapped:5.1f}% mapped"
+            )
+    except CorpusLineError as exc:
+        # Only --strict gets here: quarantine diverts bad lines to the
+        # dead-letter report instead.
+        print(
+            f"error: {args.path}:{exc.line_no}: not a valid recipe "
+            f"({exc.reason}: {exc.detail})"
+        )
+        return EXIT_DATA_ERROR
+    except _Interrupted as exc:
+        name = signal.Signals(exc.signum).name
+        report = engine.last_report
+        if run_dir is not None:
+            if report is not None:
+                write_report_jsonl(
+                    run_dir / REPORT_NAME,
+                    report.dead_letters,
+                    report.run_id or run_dir.name,
+                )
+            try:
+                mark_interrupted(run_dir)
+            except RunError:
+                pass  # stopped before the manifest existed
+            print(
+                f"\ninterrupted ({name}); the journal is on disk — "
+                f"resume with:\n  repro batch --resume {run_dir}"
+            )
+        else:
+            print(f"\ninterrupted ({name})")
+        return EXIT_INTERRUPTED
+    finally:
+        for signum, handler in previous_handlers.items():
+            signal.signal(signum, handler)
+        # Release the persistent worker pool and its shared-memory
+        # artifact segment before the process reports results.
+        engine.close()
+    elapsed = time.perf_counter() - start
+    report = engine.last_report
+    if run_dir is not None and report is not None:
+        # The report lands on every completion — an empty file is
+        # still a statement ("this run quarantined nothing") and keeps
+        # clean-vs-resumed runs byte-diffable.
+        write_report_jsonl(
+            run_dir / REPORT_NAME,
+            report.dead_letters,
+            report.run_id or run_dir.name,
         )
 
     if n_recipes == 0:
@@ -374,41 +327,38 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     rate = lines / elapsed if elapsed > 0 else float("inf")
     print(
         f"\n{n_recipes} recipes / {lines} ingredient lines "
-        f"in {elapsed:.2f}s ({rate:.0f} lines/s, {mode})"
+        f"in {elapsed:.2f}s ({rate:.0f} lines/s, "
+        f"{args.workers} worker(s), two-phase corpus protocol)"
     )
-    if report is not None and report.total_lines:
-        collapse = (
+    if report.total_lines:
+        print(
             f"duplicate collapse: {report.total_lines} occurrences -> "
             f"{report.distinct_lines} distinct lines "
             f"({report.dedup_ratio:.2f}x)"
         )
-        if not report.dedup:
-            collapse += "  [dedup off: per-occurrence oracle]"
-        print(collapse)
     if reason_tally is not None:
         print("\nreason-code breakdown:")
         print(reason_tally.breakdown().render())
-    if report is not None:
-        supervision = {
-            k: v for k, v in report.counters().items()
-            if k != "dead_lettered" and v
-        }
-        if supervision:
-            summary = ", ".join(
-                f"{name.replace('_', ' ')}: {value}"
-                for name, value in supervision.items()
-            )
-            print(f"\nsupervision: {summary}")
-        if report.run_dir is not None:
-            print(
-                f"\ndurable run {report.run_id}: "
-                f"{report.executed_chunks} chunk(s) executed, "
-                f"{report.replayed_chunks} replayed from journal "
-                f"({report.run_dir})"
-            )
-        if report.dead_letters:
-            print("\ndead-letter report:")
-            print(report.dead_letters.render())
+    supervision = {
+        k: v for k, v in report.counters().items()
+        if k != "dead_lettered" and v
+    }
+    if supervision:
+        summary = ", ".join(
+            f"{name.replace('_', ' ')}: {value}"
+            for name, value in supervision.items()
+        )
+        print(f"\nsupervision: {summary}")
+    if report.run_dir is not None:
+        print(
+            f"\ndurable run {report.run_id}: "
+            f"{report.executed_chunks} chunk(s) executed, "
+            f"{report.replayed_chunks} replayed from journal "
+            f"({report.run_dir})"
+        )
+    if report.dead_letters:
+        print("\ndead-letter report:")
+        print(report.dead_letters.render())
     return 0
 
 
@@ -547,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
             '  repro estimate --servings 4 "2 cups flour" "1 tsp salt"\n'
             '  repro explain "1 garlic" --context "2 cloves garlic , minced"\n'
             "  repro generate --recipes 200 --out corpus.jsonl\n"
-            "  repro batch corpus.jsonl --workers 4 --jsonl --reasons\n"
+            "  repro batch corpus.jsonl --workers 4 --reasons\n"
             "  repro batch corpus.jsonl --workers 4 --run-dir runs/\n"
             "  repro batch --resume runs/run-20260807-120000-00042-abc123\n"
             "  repro runs list runs/\n"
@@ -589,19 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
     explain.set_defaults(func=_cmd_explain)
 
     batch = sub.add_parser(
-        "batch", help="estimate a JSONL corpus via the batch pipeline")
+        "batch", help="estimate a JSONL corpus via the corpus engine")
     batch.add_argument("path", nargs="?", default=None,
                        help="corpus written by `generate --out` "
                             "(optional with --resume: defaults to the "
                             "manifest's corpus path)")
-    batch.add_argument("--passes", type=int, default=2,
-                       help=">=2 runs the two-phase corpus protocol "
-                            "(default); 1 runs the incremental single "
-                            "pass (in-process path only)")
     batch.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the sharded corpus "
-                            "engine (>1 enables it; default 1, or the "
-                            "manifest's count with --resume)")
+                       help="worker processes for the corpus engine "
+                            "(default 1: in-process, or the manifest's "
+                            "count with --resume)")
     batch.add_argument("--chunk-size", type=int, default=None, metavar="N",
                        help="distinct ingredient lines per pool chunk "
                             "(default 512, or the manifest's size with "
@@ -611,31 +557,21 @@ def build_parser() -> argparse.ArgumentParser:
                             help="make the run durable: create "
                                  "ROOT/<run-id>/ holding a manifest, a "
                                  "crash-safe chunk journal and the "
-                                 "dead-letter report (implies the "
-                                 "engine path)")
+                                 "dead-letter report")
     durability.add_argument("--resume", default="", metavar="RUN_DIR",
                             help="resume the durable run in RUN_DIR: "
                                  "verify its manifest, replay journaled "
                                  "chunks, execute only missing ones — "
                                  "output is bit-identical to an "
                                  "uninterrupted run")
-    batch.add_argument("--no-dedup", action="store_true",
-                       help="disable coordinator-side duplicate collapse "
-                            "(engine path): feed every line occurrence "
-                            "through estimation individually — the slow "
-                            "parity oracle; results are bit-identical")
-    batch.add_argument("--jsonl", action="store_true",
-                       help="stream the corpus (bounded memory) through "
-                            "the corpus engine instead of loading it")
     batch.add_argument("--artifact", default="",
                        help="start coordinator and workers from a "
                             "build-artifact snapshot instead of "
                             "rebuilding the pipeline per process")
     batch.add_argument("--strict", action="store_true",
-                       help="abort on malformed corpus lines or "
-                            "estimator errors instead of quarantining "
-                            "them to a dead-letter report (engine path "
-                            "only; the default quarantines)")
+                       help="abort on malformed corpus lines (exit 65) "
+                            "or estimator errors instead of quarantining "
+                            "them to a dead-letter report (the default)")
     batch.add_argument("--chunk-deadline", type=float,
                        default=DEFAULT_CHUNK_DEADLINE_S, metavar="SECONDS",
                        help="per-chunk budget before a worker is "

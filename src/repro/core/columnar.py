@@ -1,9 +1,10 @@
 """Columnar per-chunk estimation: batch the stages, keep the bits.
 
-The per-line reference path (:meth:`NutritionEstimator._estimate_line`)
-walks every stage — tokenize, NER tag, entity grouping, description
-match, unit chain — once per line.  This module reorganizes the same
-work *chunk-at-a-time*:
+Estimating one line (:meth:`NutritionEstimator._estimate_line`) walks
+every stage — tokenize, NER tag, entity grouping, description match,
+unit chain — for that line alone.  Every corpus pass instead runs
+this module, which reorganizes the same work *chunk-at-a-time*, in
+slices of :data:`SLICE_LINES` lines:
 
 1. **Parse stage** — distinct uncached lines are tokenized together
    (ASCII fast path), tagged with the tagger's ``predict_batch`` when
@@ -23,9 +24,9 @@ memoization caches* (parse cache, matcher cache) in the same
 first-occurrence insertion order the per-line loop would use, and
 stage 3 is literally the per-line code — so estimates, reason codes,
 traces, cache eviction behaviour and per-line exception surfacing are
-bit-identical to the reference.  ``tests/test_columnar_parity.py``
-sweeps this differentially across all matcher configs and chunk
-sizes.
+bit-identical to the per-line walk.  ``tests/test_columnar_parity.py``
+sweeps this differentially against the per-line oracle in
+``tests/oracles.py`` across all matcher configs and chunk sizes.
 
 Failures stay per-line: any line whose stage raises (poisoned input,
 fault injection, hostile text) is captured as a :class:`LineOutcome`
@@ -44,6 +45,11 @@ from repro.core.estimator import (
 )
 from repro.text.tokenize import tokenize_fast
 from repro.utils import DEFAULT_CACHE_CAP, BoundedCache
+
+#: Lines per batch-stage pass — the pool's default chunk size, so the
+#: in-process engine and the service hold no more batch-stage state
+#: than one pool worker does.
+SLICE_LINES = 512
 
 
 class LineOutcome:
@@ -80,14 +86,29 @@ class ColumnarPipeline:
     def estimate_lines(
         self, texts: list[str], *, consult_fallback: bool = True
     ) -> list[LineOutcome]:
-        """Estimate a chunk of lines; one :class:`LineOutcome` each.
+        """Estimate lines; one :class:`LineOutcome` each.
 
-        Drop-in chunk equivalent of calling ``_estimate_line(text,
+        Drop-in equivalent of calling ``_estimate_line(text,
         consult_fallback)`` per line (poison faults included): the
         caller loops the outcomes in order and ``unwrap()``s, getting
         identical estimates and identical exceptions at identical
-        positions.
+        positions.  The input is walked in :data:`SLICE_LINES`-line
+        slices, so the batch stages hold one slice of state at a time
+        however long *texts* is.
         """
+        outcomes: list[LineOutcome] = []
+        for start in range(0, len(texts), SLICE_LINES):
+            outcomes.extend(
+                self._estimate_slice(
+                    texts[start : start + SLICE_LINES], consult_fallback
+                )
+            )
+        return outcomes
+
+    def _estimate_slice(
+        self, texts: list[str], consult_fallback: bool
+    ) -> list[LineOutcome]:
+        """The three batch stages over one slice of lines."""
         estimator = self._estimator
         outcomes: list[LineOutcome | None] = [None] * len(texts)
 

@@ -24,7 +24,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro import faults
 from repro.core.profile import NutritionalProfile
 from repro.core.resolution import (
     REASON_ESTIMATOR_ERROR,
@@ -376,9 +375,9 @@ class NutritionEstimator:
 
         The pure, order-independent core of the pipeline: given a
         fixed fallback table, the result depends only on *text*.  The
-        corpus protocol and the sharded engine build on this; the
         public :meth:`estimate_ingredient` adds the incremental
-        observation side effect.
+        observation side effect; the corpus passes run the batched
+        equivalent (:mod:`repro.core.columnar`).
         """
         return self._estimate_from_parsed(
             self._parse_cached(text), consult_fallback
@@ -530,7 +529,6 @@ class NutritionEstimator:
         *,
         quarantine: DeadLetterLog | None = None,
         ordinal_base: int = 0,
-        columnar: bool = False,
     ) -> tuple[dict[str, IngredientEstimate], dict[str, dict[str, int]]]:
         """Corpus pass 1 over distinct ingredient lines (shardable).
 
@@ -539,7 +537,9 @@ class NutritionEstimator:
         weighted by how often the line occurs.  Because the fallback
         table is never consulted, each line's outcome — and therefore
         the observation table — is independent of processing order and
-        of how the corpus is sharded across workers.
+        of how the corpus is sharded across workers.  The lines run
+        through the batched pipeline (:mod:`repro.core.columnar`),
+        which surfaces each line's exception at that line's position.
 
         With *quarantine*, a line whose estimation raises is diverted
         to a dead-letter record (numbered ``ordinal_base + i`` in the
@@ -549,15 +549,9 @@ class NutritionEstimator:
         Without it (the default), exceptions propagate — strict mode,
         the seed behaviour.
 
-        With ``columnar=True`` the chunk is driven through the batched
-        pipeline (:mod:`repro.core.columnar`): same estimates, same
-        per-line exception surfacing and dead-letter records, chunk-at-
-        a-time execution.
-
         Returns ``(text -> estimate, observation snapshot)``.  The
         snapshot merges across shards via :meth:`UnitFallback.merge`.
         """
-        plan = faults.active_plan()
         observations = UnitFallback(self._fallback.max_grams)
         estimates: dict[str, IngredientEstimate] = {}
         items = (
@@ -565,21 +559,12 @@ class NutritionEstimator:
             if isinstance(texts_with_counts, list)
             else list(texts_with_counts)
         )
-        outcomes = None
-        if columnar:
-            outcomes = self.columnar.estimate_lines(
-                [text for text, _ in items], consult_fallback=False
-            )
-        for i, (text, count) in enumerate(items):
+        outcomes = self.columnar.estimate_lines(
+            [text for text, _ in items], consult_fallback=False
+        )
+        for i, ((text, count), outcome) in enumerate(zip(items, outcomes)):
             try:
-                if outcomes is not None:
-                    estimate = outcomes[i].unwrap()
-                else:
-                    if plan is not None:
-                        plan.poison(text)
-                    estimate = self._estimate_line(
-                        text, consult_fallback=False
-                    )
+                estimate = outcome.unwrap()
             except Exception as exc:
                 if quarantine is None:
                     raise
@@ -604,7 +589,6 @@ class NutritionEstimator:
         *,
         quarantine: DeadLetterLog | None = None,
         ordinals: dict[str, int] | None = None,
-        columnar: bool = False,
     ) -> dict[str, IngredientEstimate]:
         """Corpus pass 2 for the unit-unresolved lines (shardable).
 
@@ -620,24 +604,12 @@ class NutritionEstimator:
         degradation).  *ordinals* maps text to its distinct-line
         ordinal for the dead-letter record.
         """
-        plan = faults.active_plan()
         estimates: dict[str, IngredientEstimate] = {}
         items = texts if isinstance(texts, list) else list(texts)
-        outcomes = None
-        if columnar:
-            outcomes = self.columnar.estimate_lines(
-                items, consult_fallback=True
-            )
-        for i, text in enumerate(items):
+        outcomes = self.columnar.estimate_lines(items, consult_fallback=True)
+        for text, outcome in zip(items, outcomes):
             try:
-                if outcomes is not None:
-                    estimates[text] = outcomes[i].unwrap()
-                else:
-                    if plan is not None:
-                        plan.poison(text)
-                    estimates[text] = self._estimate_line(
-                        text, consult_fallback=True
-                    )
+                estimates[text] = outcome.unwrap()
             except Exception as exc:
                 if quarantine is None:
                     raise
@@ -655,7 +627,6 @@ class NutritionEstimator:
         counts: dict[str, int] | Sequence[tuple[str, int]],
         *,
         quarantine: DeadLetterLog | None = None,
-        columnar: bool = False,
     ) -> dict[str, IngredientEstimate]:
         """The full two-phase protocol over a distinct-line table.
 
@@ -671,11 +642,10 @@ class NutritionEstimator:
 
         *counts* is normally a distinct-line table (``text -> count``)
         but also accepts an explicit ``(text, count)`` sequence with
-        repeated texts — the ``REPRO_DEDUP=0`` oracle feeds one entry
-        per corpus occurrence, which yields the identical table:
-        estimation is deterministic per text, and n unit observations
-        of weight 1 equal one observation of weight n (same counts,
-        same key insertion order, same tie-breaks).
+        repeated texts, which yields the identical table: estimation
+        is deterministic per text, and n unit observations of weight 1
+        equal one observation of weight n (same counts, same key
+        insertion order, same tie-breaks).
         """
         items = (
             list(counts.items())
@@ -683,7 +653,7 @@ class NutritionEstimator:
             else list(counts)
         )
         estimates, observations = self.corpus_collect_estimates(
-            items, quarantine=quarantine, columnar=columnar
+            items, quarantine=quarantine
         )
         self._fallback.clear()
         self._fallback.merge(observations)
@@ -700,10 +670,7 @@ class NutritionEstimator:
                     ordinals[text] = i
         estimates.update(
             self.corpus_fallback_estimates(
-                pending,
-                quarantine=quarantine,
-                ordinals=ordinals,
-                columnar=columnar,
+                pending, quarantine=quarantine, ordinals=ordinals
             )
         )
         return estimates

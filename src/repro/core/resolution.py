@@ -199,8 +199,12 @@ class UnitStrategy:
     def attempt(self, ctx: ResolutionContext) -> UnitResolution | None:
         raise NotImplementedError
 
-    def failure(self, ctx: ResolutionContext) -> tuple[str, str]:
-        """(outcome, detail) after :meth:`attempt` returned ``None``."""
+    def failure(self, ctx: ResolutionContext) -> str:
+        """The outcome after :meth:`attempt` returned ``None``."""
+        raise NotImplementedError
+
+    def failure_detail(self, ctx: ResolutionContext) -> str:
+        """Why :meth:`attempt` failed, for a recorder."""
         raise NotImplementedError
 
 
@@ -215,11 +219,13 @@ class _NerUnit(UnitStrategy):
         return ctx.resolver.resolve(ctx.parsed.unit)
 
     def failure(self, ctx):
+        return OUTCOME_UNRESOLVABLE
+
+    def failure_detail(self, ctx):
         return (
-            OUTCOME_UNRESOLVABLE,
             f"no gram weight for NER unit {ctx.parsed.unit!r} "
             f"(phrase-scan and bare-count are skipped: the phrase "
-            f"names an explicit measure)",
+            f"names an explicit measure)"
         )
 
 
@@ -237,13 +243,13 @@ class _PhraseScan(UnitStrategy):
         return ctx.resolver.resolve(scanned)
 
     def failure(self, ctx):
+        return OUTCOME_NO_UNIT if ctx.scan() is None else OUTCOME_UNRESOLVABLE
+
+    def failure_detail(self, ctx):
         scanned = ctx.scan()
         if scanned is None:
-            return OUTCOME_NO_UNIT, "no known unit token in the phrase"
-        return (
-            OUTCOME_UNRESOLVABLE,
-            f"scanned unit {scanned!r} has no gram weight for this food",
-        )
+            return "no known unit token in the phrase"
+        return f"scanned unit {scanned!r} has no gram weight for this food"
 
 
 class _SizeAsUnit(UnitStrategy):
@@ -257,10 +263,10 @@ class _SizeAsUnit(UnitStrategy):
         return ctx.resolver.resolve(ctx.parsed.size)
 
     def failure(self, ctx):
-        return (
-            OUTCOME_UNRESOLVABLE,
-            f"SIZE {ctx.parsed.size!r} has no gram weight for this food",
-        )
+        return OUTCOME_UNRESOLVABLE
+
+    def failure_detail(self, ctx):
+        return f"SIZE {ctx.parsed.size!r} has no gram weight for this food"
 
 
 class _BareCount(UnitStrategy):
@@ -274,7 +280,10 @@ class _BareCount(UnitStrategy):
         return ctx.resolver.resolve(None)
 
     def failure(self, ctx):
-        return OUTCOME_NO_PORTION, "food has no countable portion"
+        return OUTCOME_NO_PORTION
+
+    def failure_detail(self, ctx):
+        return "food has no countable portion"
 
 
 #: The candidate-producing strategies, in application order.  The
@@ -307,132 +316,6 @@ class ChainResult:
         self.used_corpus_unit = used_corpus_unit
 
 
-# Precomputed trace atoms for the fused fast path below: one interned
-# tuple per (stage, outcome) the chain can emit.
-_T_NER_UNRESOLVABLE = _event1(REASON_NER_UNIT, OUTCOME_UNRESOLVABLE)
-_T_SCAN_NO_UNIT = _event1(REASON_PHRASE_SCAN, OUTCOME_NO_UNIT)
-_T_SCAN_UNRESOLVABLE = _event1(REASON_PHRASE_SCAN, OUTCOME_UNRESOLVABLE)
-_T_SIZE_UNRESOLVABLE = _event1(REASON_SIZE_AS_UNIT, OUTCOME_UNRESOLVABLE)
-_T_BARE_NO_PORTION = _event1(REASON_BARE_COUNT, OUTCOME_NO_PORTION)
-_T_RESCUE_UNRESOLVABLE = _event1(
-    REASON_PLAUSIBILITY_RESCUE, OUTCOME_UNRESOLVABLE
-)
-_T_CORPUS_NEVER = _event1(REASON_CORPUS_UNIT, OUTCOME_NEVER_OBSERVED)
-_T_CORPUS_UNRESOLVABLE = _event1(REASON_CORPUS_UNIT, OUTCOME_UNRESOLVABLE)
-_T_CORPUS_IMPLAUSIBLE = _event1(REASON_CORPUS_UNIT, OUTCOME_IMPLAUSIBLE)
-_T_CORPUS_RESOLVED = _event1(REASON_CORPUS_UNIT, OUTCOME_RESOLVED)
-_T_RESOLVED: dict[str, tuple[str, ...]] = {
-    reason: _event1(reason, OUTCOME_RESOLVED)
-    for reason in RESOLUTION_REASONS
-}
-_T_IMPLAUSIBLE: dict[str, tuple[str, ...]] = {
-    reason: _event1(reason, OUTCOME_IMPLAUSIBLE)
-    for reason in RESOLUTION_REASONS
-}
-
-
-def _run_chain_fast(
-    parsed: "ParsedIngredient",
-    resolver: UnitResolver,
-    quantity: float,
-    fallback: UnitFallback,
-    consult_fallback: bool,
-) -> ChainResult:
-    """The recorder-free chain, fused into straight-line code.
-
-    Estimation runs this for every ingredient line, so the strategy
-    dispatch of the declarative driver is hand-inlined here: same
-    strategies, same order, same skip rules, emitting the same interned
-    reason/trace atoms — at the cost of the old nested-conditional
-    shape.  The declarative driver below remains the specification
-    (and the explain surface); ``run_unit_chain`` routes to it whenever
-    a recorder is attached, and
-    ``tests/test_core_resolution.py::TestFastPathEquivalence`` asserts
-    the two produce identical :class:`ChainResult`\\ s over a corpus,
-    so they cannot drift apart silently.
-    """
-    unit = parsed.unit or None
-    scanned: str | None = None
-    scan_done = False
-    trace: tuple[str, ...] = ()
-
-    # 1. ner-unit (failure skips phrase-scan and bare-count) /
-    # 2. phrase-scan (only when NER produced no unit).
-    if unit is not None:
-        resolution = resolver.resolve(unit)
-        reason = REASON_NER_UNIT
-        if resolution is None:
-            trace = _T_NER_UNRESOLVABLE
-    else:
-        scanned = scan_for_unit(parsed.text)
-        scan_done = True
-        reason = REASON_PHRASE_SCAN
-        if scanned is None:
-            resolution = None
-            trace = _T_SCAN_NO_UNIT
-        else:
-            resolution = resolver.resolve(scanned)
-            if resolution is None:
-                trace = _T_SCAN_UNRESOLVABLE
-
-    # 3. size-as-unit.
-    if resolution is None and parsed.size:
-        resolution = resolver.resolve(parsed.size)
-        reason = REASON_SIZE_AS_UNIT
-        if resolution is None:
-            trace = trace + _T_SIZE_UNRESOLVABLE
-
-    # 4. bare-count (only when NER produced no unit).
-    if resolution is None and unit is None:
-        resolution = resolver.resolve(None)
-        reason = REASON_BARE_COUNT
-        if resolution is None:
-            trace = trace + _T_BARE_NO_PORTION
-
-    # 5. plausibility gate + rescue.
-    if resolution is not None and not fallback.plausible(
-        quantity, resolution.grams_per_unit
-    ):
-        event = _T_IMPLAUSIBLE[reason]
-        trace = event if not trace else trace + event
-        if not scan_done:
-            scanned = scan_for_unit(parsed.text)
-            scan_done = True
-        rescued = resolver.resolve(scanned) if scanned else None
-        reason = REASON_PLAUSIBILITY_RESCUE
-        if rescued is not None and fallback.plausible(
-            quantity, rescued.grams_per_unit
-        ):
-            resolution = rescued
-        else:
-            resolution = None
-            trace = trace + _T_RESCUE_UNRESOLVABLE
-
-    if resolution is not None:
-        event = _T_RESOLVED[reason]
-        return ChainResult(
-            resolution, reason, event if not trace else trace + event, False
-        )
-    if not consult_fallback:
-        return ChainResult(None, reason, trace, False)
-
-    # 6. corpus-frequent-unit.
-    frequent = fallback.most_frequent_unit(parsed.name)
-    if frequent is None:
-        trace = trace + _T_CORPUS_NEVER
-        return ChainResult(None, REASON_CORPUS_UNIT, trace, False)
-    rescued = resolver.resolve(frequent)
-    if rescued is not None and fallback.plausible(
-        quantity, rescued.grams_per_unit
-    ):
-        trace = trace + _T_CORPUS_RESOLVED
-        return ChainResult(rescued, REASON_CORPUS_UNIT, trace, True)
-    trace = trace + (
-        _T_CORPUS_UNRESOLVABLE if rescued is None else _T_CORPUS_IMPLAUSIBLE
-    )
-    return ChainResult(None, REASON_CORPUS_UNIT, trace, False)
-
-
 def run_unit_chain(
     parsed: "ParsedIngredient",
     resolver: UnitResolver,
@@ -450,46 +333,41 @@ def run_unit_chain(
     never runs (the collect pass uses this so each line's outcome is
     independent of corpus order).  *recorder*, when given, receives a
     verbose event for every stage, including skipped ones; it never
-    changes the result.
-
-    Without a recorder the call takes :func:`_run_chain_fast`, the
-    allocation-light fused form of the identical chain (equivalence is
-    test-enforced); with one, the declarative driver below walks
-    :data:`CANDIDATE_CHAIN` strategy by strategy.
+    changes the result.  Estimation runs without one, so every
+    ``record`` call — and the detail string it carries — sits behind a
+    ``recorder is not None`` check.
     """
-    if recorder is None:
-        return _run_chain_fast(
-            parsed, resolver, quantity, fallback, consult_fallback
-        )
-    # From here on a recorder is always attached — the recorder-free
-    # case took the fast path above.
     ctx = ResolutionContext(parsed, resolver, quantity)
-    # The trace accumulates by concatenating interned one-event tuples
-    # (identical atoms to the fast path).
+    # The trace accumulates by concatenating interned one-event tuples.
     trace: tuple[str, ...] = ()
     resolution: UnitResolution | None = None
     reason = REASON_NER_UNIT  # overwritten by the first applicable stage
 
     for position, strategy in enumerate(CANDIDATE_CHAIN):
         if not strategy.applies(ctx):
-            recorder.record(
-                strategy.reason, OUTCOME_SKIPPED, strategy.skip_detail(ctx)
-            )
+            if recorder is not None:
+                recorder.record(
+                    strategy.reason, OUTCOME_SKIPPED, strategy.skip_detail(ctx)
+                )
             continue
         resolution = strategy.attempt(ctx)
         reason = strategy.reason
         if resolution is not None:
-            for later in CANDIDATE_CHAIN[position + 1 :]:
-                recorder.record(
-                    later.reason,
-                    OUTCOME_SKIPPED,
-                    f"{strategy.reason} already produced a candidate",
-                )
+            if recorder is not None:
+                for later in CANDIDATE_CHAIN[position + 1 :]:
+                    recorder.record(
+                        later.reason,
+                        OUTCOME_SKIPPED,
+                        f"{strategy.reason} already produced a candidate",
+                    )
             break
-        outcome, detail = strategy.failure(ctx)
+        outcome = strategy.failure(ctx)
         event = _event1(strategy.reason, outcome)
         trace = event if not trace else trace + event
-        recorder.record(strategy.reason, outcome, detail)
+        if recorder is not None:
+            recorder.record(
+                strategy.reason, outcome, strategy.failure_detail(ctx)
+            )
 
     # Plausibility gate + rescue over whichever candidate won above.
     if resolution is not None and not fallback.plausible(
@@ -497,78 +375,88 @@ def run_unit_chain(
     ):
         event = _event1(reason, OUTCOME_IMPLAUSIBLE)
         trace = event if not trace else trace + event
-        recorder.record(
-            reason,
-            OUTCOME_IMPLAUSIBLE,
-            f"{quantity:g} x {resolution.grams_per_unit:g} g/unit "
-            f"exceeds the {fallback.max_grams:g} g threshold",
-            resolution,
-        )
-        rescued = ctx.resolver.resolve(ctx.scan()) if ctx.scan() else None
+        if recorder is not None:
+            recorder.record(
+                reason,
+                OUTCOME_IMPLAUSIBLE,
+                f"{quantity:g} x {resolution.grams_per_unit:g} g/unit "
+                f"exceeds the {fallback.max_grams:g} g threshold",
+                resolution,
+            )
+        scanned = ctx.scan()
+        rescued = resolver.resolve(scanned) if scanned else None
+        reason = REASON_PLAUSIBILITY_RESCUE
         if rescued is not None and fallback.plausible(
             quantity, rescued.grams_per_unit
         ):
             resolution = rescued
-            reason = REASON_PLAUSIBILITY_RESCUE
         else:
             resolution = None
-            reason = REASON_PLAUSIBILITY_RESCUE
             trace = trace + _event1(
                 REASON_PLAUSIBILITY_RESCUE, OUTCOME_UNRESOLVABLE
             )
-            recorder.record(
-                REASON_PLAUSIBILITY_RESCUE,
-                OUTCOME_UNRESOLVABLE,
-                "no plausible phrase-scanned unit to rescue with",
-            )
+            if recorder is not None:
+                recorder.record(
+                    REASON_PLAUSIBILITY_RESCUE,
+                    OUTCOME_UNRESOLVABLE,
+                    "no plausible phrase-scanned unit to rescue with",
+                )
 
     if resolution is not None:
         event = _event1(reason, OUTCOME_RESOLVED)
         trace = event if not trace else trace + event
-        recorder.record(reason, OUTCOME_RESOLVED, "unit resolved", resolution)
+        if recorder is not None:
+            recorder.record(
+                reason, OUTCOME_RESOLVED, "unit resolved", resolution
+            )
         return ChainResult(resolution, reason, trace, False)
 
     if not consult_fallback:
-        recorder.record(
-            REASON_CORPUS_UNIT,
-            OUTCOME_SKIPPED,
-            "corpus statistics not consulted (collect pass)",
-        )
+        if recorder is not None:
+            recorder.record(
+                REASON_CORPUS_UNIT,
+                OUTCOME_SKIPPED,
+                "corpus statistics not consulted (collect pass)",
+            )
         return ChainResult(None, reason, trace, False)
 
     # Last resort: the corpus-level most-frequent-unit statistic.
     reason = REASON_CORPUS_UNIT
     frequent = fallback.most_frequent_unit(parsed.name)
     if frequent is None:
-        trace = trace + _T_CORPUS_NEVER
-        recorder.record(
-            REASON_CORPUS_UNIT,
-            OUTCOME_NEVER_OBSERVED,
-            f"no unit ever observed for {parsed.name!r}",
-        )
+        trace = trace + _event1(REASON_CORPUS_UNIT, OUTCOME_NEVER_OBSERVED)
+        if recorder is not None:
+            recorder.record(
+                REASON_CORPUS_UNIT,
+                OUTCOME_NEVER_OBSERVED,
+                f"no unit ever observed for {parsed.name!r}",
+            )
         return ChainResult(None, reason, trace, False)
     rescued = resolver.resolve(frequent)
     if rescued is not None and fallback.plausible(
         quantity, rescued.grams_per_unit
     ):
-        trace = trace + _T_CORPUS_RESOLVED
-        recorder.record(
-            REASON_CORPUS_UNIT,
-            OUTCOME_RESOLVED,
-            f"most frequent unit for {parsed.name!r} is {frequent!r}",
-            rescued,
-        )
+        trace = trace + _event1(REASON_CORPUS_UNIT, OUTCOME_RESOLVED)
+        if recorder is not None:
+            recorder.record(
+                REASON_CORPUS_UNIT,
+                OUTCOME_RESOLVED,
+                f"most frequent unit for {parsed.name!r} is {frequent!r}",
+                rescued,
+            )
         return ChainResult(rescued, reason, trace, True)
-    if rescued is None:
-        outcome = OUTCOME_UNRESOLVABLE
-        detail = f"frequent unit {frequent!r} has no gram weight for this food"
-    else:
-        outcome = OUTCOME_IMPLAUSIBLE
-        detail = (
-            f"frequent unit {frequent!r} resolves but "
-            f"{quantity:g} x {rescued.grams_per_unit:g} g/unit exceeds "
-            f"the {fallback.max_grams:g} g threshold"
-        )
+    outcome = OUTCOME_UNRESOLVABLE if rescued is None else OUTCOME_IMPLAUSIBLE
     trace = trace + _event1(REASON_CORPUS_UNIT, outcome)
-    recorder.record(REASON_CORPUS_UNIT, outcome, detail, rescued)
+    if recorder is not None:
+        if rescued is None:
+            detail = (
+                f"frequent unit {frequent!r} has no gram weight for this food"
+            )
+        else:
+            detail = (
+                f"frequent unit {frequent!r} resolves but "
+                f"{quantity:g} x {rescued.grams_per_unit:g} g/unit exceeds "
+                f"the {fallback.max_grams:g} g threshold"
+            )
+        recorder.record(REASON_CORPUS_UNIT, outcome, detail, rescued)
     return ChainResult(None, reason, trace, False)

@@ -62,10 +62,9 @@ each worker holds at most one chunk at a time.
 in-process path) drive each chunk through the batched pipeline
 (:mod:`repro.core.columnar`) — chunk-wide tokenize/tag/match stages
 feeding the unmodified per-line tail — which is bit-identical to the
-per-line reference by construction and pinned differentially by
-``tests/test_columnar_parity.py``.  ``REPRO_COLUMNAR=0`` forces the
-per-line path everywhere (the escape hatch the differential harness
-and benchmarks flip).
+per-line reference by construction and pinned differentially against
+the per-line oracle in ``tests/oracles.py``
+(``tests/test_columnar_parity.py``).
 
 **Duplicate collapse** (ISSUE 10): the coordinator hash-conses the
 corpus's ingredient lines into the distinct-line table *before*
@@ -78,16 +77,14 @@ identical counts *and* identical key insertion order — hence the same
 ``most_common`` tie-breaks — as n repeated observes, and phase-3
 estimates are pure functions of (text, frozen table), so per-distinct
 results expand to per-occurrence results losslessly at assembly.
-``REPRO_DEDUP=0`` (or ``dedup=False`` / the CLI's
-``--no-dedup``) pins the per-occurrence oracle: the line table keeps
-one ``(text, 1)`` entry per occurrence in corpus order, and the
-differential suites byte-compare the two modes end to end
-(``tests/test_dedup_parity.py``).  Estimate-side dead letters are
-re-numbered by the coordinator from line-table ordinals to
-per-occurrence corpus positions with the same procedure in both
-modes, so a poisoned line that occurs k times dead-letters k times
-with correct positions — and the persisted report is byte-identical
-across modes and across resume.
+The differential suite byte-compares the engine against the
+per-occurrence oracle in ``tests/oracles.py``, which estimates every
+occurrence individually (``tests/test_dedup_parity.py``).
+Estimate-side dead letters are re-numbered by the coordinator from
+line-table ordinals to per-occurrence corpus positions, so a poisoned
+line that occurs k times dead-letters k times with correct positions
+— and the persisted report is byte-identical to the oracle's and
+across resume.
 
 **Persistent pool** (ISSUE 9): the supervised pool outlives a single
 run.  The first pool run spawns it (workers boot from a shared-memory
@@ -147,29 +144,6 @@ DEFAULT_CHUNK_DEADLINE_S = 120.0
 DEFAULT_MAX_CHUNK_RETRIES = 2
 
 
-def _columnar_enabled() -> bool:
-    """Whether chunks run the columnar batch pipeline (default: yes).
-
-    ``REPRO_COLUMNAR=0`` pins the per-line reference path — the
-    differential harness and benchmarks use it to hold the oracle
-    side still while the columnar side evolves.
-    """
-    return os.environ.get("REPRO_COLUMNAR", "1") != "0"
-
-
-def _dedup_enabled() -> bool:
-    """Whether corpus lines are collapsed to the distinct set (default:
-    yes).
-
-    ``REPRO_DEDUP=0`` pins the per-occurrence oracle — every
-    ingredient-line occurrence is shipped, estimated and observed
-    independently, exactly as if no interning layer existed.  The
-    differential suites and the dedup benchmarks flip this to hold the
-    reference side still.
-    """
-    return os.environ.get("REPRO_DEDUP", "1") != "0"
-
-
 @dataclass
 class RunReport:
     """What happened, beyond the estimates, during one corpus run."""
@@ -192,9 +166,7 @@ class RunReport:
     #: Line-interning accounting (ISSUE 10).  ``total_lines`` counts
     #: ingredient-line occurrences across the corpus; ``distinct_lines``
     #: counts the entries that actually did pipeline work after
-    #: duplicate collapse.  ``dedup=False`` marks the per-occurrence
-    #: oracle run (``REPRO_DEDUP=0`` / ``--no-dedup``).
-    dedup: bool = True
+    #: duplicate collapse.
     total_lines: int = 0
     distinct_lines: int = 0
     #: Content digest of the frozen phase-boundary unit table — the
@@ -208,15 +180,6 @@ class RunReport:
         if not self.distinct_lines:
             return 1.0
         return self.total_lines / self.distinct_lines
-
-    def dedup_counters(self) -> dict:
-        """Duplicate-collapse accounting (CLI summary + /metrics)."""
-        return {
-            "dedup": self.dedup,
-            "total_lines": self.total_lines,
-            "distinct_lines": self.distinct_lines,
-            "dedup_ratio": round(self.dedup_ratio, 3),
-        }
 
     def counters(self) -> dict:
         """Flat counter view (the service merges this into /metrics)."""
@@ -244,16 +207,16 @@ class RunReport:
 def _collect_task(state: WorkerState, payload, task_id: int, attempt: int):
     """Phase-1 task: wire estimates + observation snapshot for a chunk.
 
-    ``payload`` is ``(base_ordinal, chunk, quarantine_on, columnar)``.
+    ``payload`` is ``(base_ordinal, chunk, quarantine_on)``.
     Returns ``(wire, snapshot, dead_letter_records)``.
     """
-    base_ordinal, chunk, quarantine_on, columnar = payload
+    base_ordinal, chunk, quarantine_on = payload
     plan = faults.active_plan()
     if plan is not None:
         plan.fire("collect-chunk", task_id, attempt)
     log = DeadLetterLog() if quarantine_on else None
     estimates, snapshot = state.estimator.corpus_collect_estimates(
-        chunk, quarantine=log, ordinal_base=base_ordinal, columnar=columnar
+        chunk, quarantine=log, ordinal_base=base_ordinal
     )
     wire = dumps_estimates(
         [estimates[text] for text, _ in chunk], state.estimator.database
@@ -264,8 +227,8 @@ def _collect_task(state: WorkerState, payload, task_id: int, attempt: int):
 def _fallback_task(state: WorkerState, payload, task_id: int, attempt: int):
     """Phase-3 task: re-estimate texts against the merged statistics.
 
-    ``payload`` is ``(stats_token, snapshot, items, quarantine_on,
-    columnar)`` with ``items`` a list of ``(ordinal, text)``.  The
+    ``payload`` is ``(stats_token, snapshot, items, quarantine_on)``
+    with ``items`` a list of ``(ordinal, text)``.  The
     merged snapshot rides along with each task and a worker installs
     it once per *token* — a fresh serial per engine run — which makes
     two failure shapes correct at once: a worker respawned
@@ -276,7 +239,7 @@ def _fallback_task(state: WorkerState, payload, task_id: int, attempt: int):
     ``present_indices`` are the positions in *items* that produced an
     estimate (a line quarantined here keeps its phase-1 estimate).
     """
-    stats_token, snapshot, items, quarantine_on, columnar = payload
+    stats_token, snapshot, items, quarantine_on = payload
     plan = faults.active_plan()
     if plan is not None:
         plan.fire("fallback-chunk", task_id, attempt)
@@ -291,7 +254,6 @@ def _fallback_task(state: WorkerState, payload, task_id: int, attempt: int):
         texts,
         quarantine=log,
         ordinals={text: ordinal for ordinal, text in items},
-        columnar=columnar,
     )
     present = [i for i, text in enumerate(texts) if text in estimates]
     wire = dumps_estimates(
@@ -358,22 +320,12 @@ class CorpusTable:
                 kept.append(recipe.title)
         return cls(list(index), ids, ends, servings, kept)
 
-    def line_table(self, dedup: bool) -> list[tuple[str, int]]:
-        """The ``(text, count)`` entries the run estimates.
-
-        Dedup mode gives one entry per distinct line with its
-        multiplicity, in first-occurrence order, so all downstream
-        work scales with the distinct set.  The oracle mode gives one
-        ``(text, 1)`` entry per occurrence in corpus order instead —
-        identical statistics (a weighted observe equals n repeated
-        observes, and first-occurrence key order is the same either
-        way) at full per-occurrence cost.
-        """
-        texts = self.texts
-        if dedup:
-            counts = Counter(self.ids)
-            return [(text, counts[i]) for i, text in enumerate(texts)]
-        return [(texts[i], 1) for i in self.ids]
+    def line_table(self) -> list[tuple[str, int]]:
+        """The ``(text, count)`` entries the run estimates: one per
+        distinct line with its multiplicity, in first-occurrence
+        order, so all downstream work scales with the distinct set."""
+        counts = Counter(self.ids)
+        return [(text, counts[i]) for i, text in enumerate(self.texts)]
 
     def recipes(self) -> Iterator[tuple[int, array]]:
         """``(servings, line ids)`` per recipe, in corpus order."""
@@ -401,10 +353,6 @@ class ShardedCorpusEstimator:
     chunk_size:
         Distinct ingredient lines per pool task.  Bigger chunks
         amortize task/pickle overhead; smaller chunks balance load.
-    max_pending:
-        Retained for API compatibility; the supervised pool holds at
-        most one task per worker, so in-flight work is already
-        bounded tighter than any sensible value of this.
     quarantine:
         With ``True``, malformed JSONL corpus lines and ingredient
         lines whose estimation raises are diverted to dead-letter
@@ -429,12 +377,6 @@ class ShardedCorpusEstimator:
         :class:`~repro.runs.errors.RunMismatchError` on drift),
         truncate any torn journal tail, replay journaled chunks and
         execute only the missing ones.
-    dedup:
-        Collapse corpus lines to the distinct-line table before
-        sharding (the interning layer).  ``None`` — the default —
-        defers to the ``REPRO_DEDUP`` environment variable (on unless
-        ``0``), resolved per run; ``False`` pins the per-occurrence
-        oracle for this engine regardless of environment.
     force_pool:
         Route even ``workers=1`` non-durable runs through the
         supervised pool instead of the in-process shortcut.  The
@@ -456,13 +398,11 @@ class ShardedCorpusEstimator:
         *,
         workers: int | None = None,
         chunk_size: int = 512,
-        max_pending: int | None = None,
         quarantine: bool = False,
         chunk_deadline_s: float | None = DEFAULT_CHUNK_DEADLINE_S,
         max_chunk_retries: int = DEFAULT_MAX_CHUNK_RETRIES,
         run_dir: str | Path | None = None,
         resume: bool = False,
-        dedup: bool | None = None,
         force_pool: bool = False,
         estimator_supplier=None,
     ):
@@ -485,7 +425,6 @@ class ShardedCorpusEstimator:
             self._workers = os.cpu_count() or 1
         self._chunk_size = chunk_size
         self._quarantine = quarantine
-        self._dedup = dedup
         self._chunk_deadline_s = chunk_deadline_s
         self._max_chunk_retries = max_chunk_retries
         self._force_pool = force_pool
@@ -587,16 +526,8 @@ class ShardedCorpusEstimator:
 
     # ------------------------------------------------------------------
 
-    def _dedup_on(self) -> bool:
-        """Resolve the dedup mode for one run (ctor arg, else env)."""
-        if self._dedup is not None:
-            return self._dedup
-        return _dedup_enabled()
-
     def _begin_run(self) -> RunReport:
-        self.last_report = RunReport(
-            workers=self._workers, dedup=self._dedup_on()
-        )
+        self.last_report = RunReport(workers=self._workers)
         return self.last_report
 
     def _read_table(
@@ -638,9 +569,7 @@ class ShardedCorpusEstimator:
         position in the flattened ingredient-line stream (ingest
         letters keep their 1-based file line numbers).  Estimation is
         deterministic per text, so every occurrence of a poisoned line
-        shares one reason/detail; running the identical procedure in
-        both dedup modes makes the final report byte-identical across
-        them.
+        shares one reason/detail.
         """
         log = report.dead_letters
         poisoned: dict[str, tuple[str, str]] = {}
@@ -677,9 +606,7 @@ class ShardedCorpusEstimator:
 
         return database_fingerprint(self._food_list())
 
-    def _durable_run(
-        self, source: CorpusSource, dedup: bool
-    ) -> DurableRun | None:
+    def _durable_run(self, source: CorpusSource) -> DurableRun | None:
         """Create (or reopen and verify) this engine's durable run."""
         if self._run_dir is None:
             return None
@@ -697,7 +624,6 @@ class ShardedCorpusEstimator:
                 quarantine=self._quarantine,
                 max_grams=self._spec.max_grams,
                 database_fingerprint=fingerprint,
-                dedup=dedup,
             )
             return run
         database: dict = {
@@ -726,7 +652,6 @@ class ShardedCorpusEstimator:
                 "quarantine": self._quarantine,
                 "max_grams": self._spec.max_grams,
                 "workers": self._workers,
-                "dedup": dedup,
             },
             database=database,
         )
@@ -809,11 +734,11 @@ class ShardedCorpusEstimator:
         positions.
         """
         report = self._begin_run()
-        run = self._durable_run(source, report.dedup)
+        run = self._durable_run(source)
         self._note_run(report, run)
         try:
             table = self._read_table(source, report, titles=titles)
-            lines = table.line_table(report.dedup)
+            lines = table.line_table()
             estimates = self._estimate_table_into(lines, report, run)
         finally:
             if run is not None:
@@ -836,23 +761,12 @@ class ShardedCorpusEstimator:
         service's batch endpoint assembles its own recipes from this.
         Dispatches to the in-process estimator at ``workers=1`` and to
         the supervised pool otherwise; results are bit-identical
-        either way.  In oracle mode (``REPRO_DEDUP=0`` /
-        ``dedup=False``) the multiplicities are expanded back into
-        per-occurrence entries so even this pre-collapsed entry point
-        exercises the undeduped pipeline.
+        either way.
         """
         report = self._begin_run()
         report.total_lines = sum(counts.values())
         report.distinct_lines = len(counts)
-        if report.dedup:
-            lines = list(counts.items())
-        else:
-            lines = [
-                (text, 1)
-                for text, count in counts.items()
-                for _ in range(count)
-            ]
-        return self._estimate_table_into(lines, report)
+        return self._estimate_table_into(list(counts.items()), report)
 
     def _estimate_table_into(
         self,
@@ -872,9 +786,7 @@ class ShardedCorpusEstimator:
     ) -> dict[str, IngredientEstimate]:
         log = report.dead_letters if self._quarantine else None
         estimator = self._local_estimator()
-        estimates = estimator.corpus_estimate_table(
-            lines, quarantine=log, columnar=_columnar_enabled()
-        )
+        estimates = estimator.corpus_estimate_table(lines, quarantine=log)
         report.stats_digest = snapshot_digest(
             estimator.fallback.snapshot()
         )
@@ -917,7 +829,6 @@ class ShardedCorpusEstimator:
         estimates: dict[str, IngredientEstimate] = {}
         chunks = list(_chunked(lines, self._chunk_size))
         quarantine_on = self._quarantine
-        columnar = _columnar_enabled()
         if run is not None:
             run.begin(
                 n_chunks=len(chunks),
@@ -975,7 +886,7 @@ class ShardedCorpusEstimator:
             replay = run.collect if run is not None else {}
             missing = [i for i in range(len(chunks)) if i not in replay]
             payloads = [
-                (i * self._chunk_size, chunks[i], quarantine_on, columnar)
+                (i * self._chunk_size, chunks[i], quarantine_on)
                 for i in missing
             ]
             executed = (
@@ -1037,10 +948,7 @@ class ShardedCorpusEstimator:
             self._stats_serial += 1
             stats_token = self._stats_serial
             payloads = [
-                (
-                    stats_token, snapshot, fallback_chunks[i],
-                    quarantine_on, columnar,
-                )
+                (stats_token, snapshot, fallback_chunks[i], quarantine_on)
                 for i in fb_missing
             ]
             executed = (

@@ -82,6 +82,23 @@ def _recipe_from_line(line: str) -> Recipe:
     )
 
 
+class CorpusLineError(ValueError):
+    """A JSONL corpus line that is not a valid recipe (strict ingest).
+
+    Carries the 1-based file line number and the same reason code a
+    quarantined line's dead letter would (``malformed-json`` or
+    ``invalid-recipe``).
+    """
+
+    def __init__(self, line_no: int, reason: str, detail: str):
+        super().__init__(
+            f"line {line_no}: not a valid recipe ({reason}: {detail})"
+        )
+        self.line_no = line_no
+        self.reason = reason
+        self.detail = detail
+
+
 def iter_recipes_jsonl(
     path: str | Path,
     *,
@@ -97,13 +114,15 @@ def iter_recipes_jsonl(
 
     ``on_error`` controls what a malformed line does:
 
-    * ``"raise"`` (default) — propagate, aborting the stream mid-way:
-      strict mode, bit-compatible with the seed behaviour.
+    * ``"raise"`` (default) — abort the stream mid-way with a
+      :class:`CorpusLineError` naming the line: strict mode.
     * ``"skip"`` — quarantine the line and continue.  Each skipped
       line is recorded in *dead_letters* (when given) with its 1-based
-      file line number and a reason code: ``malformed-json`` for
-      undecodable JSON, ``invalid-recipe`` for valid JSON missing the
-      recipe schema.
+      file line number and a reason code.
+
+    Either way the reason code is ``malformed-json`` for undecodable
+    JSON and ``invalid-recipe`` for valid JSON missing the recipe
+    schema.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip': {on_error!r}")
@@ -114,29 +133,22 @@ def iter_recipes_jsonl(
                 continue
             if plan is not None:
                 line = plan.corrupt_line(line_no, line)
-            # Parse outside the yield so a consumer exception thrown
-            # into the generator can never be mistaken for a bad line.
+            # The yield sits in the else clause, outside the handlers,
+            # so a consumer exception thrown into the generator can
+            # never be mistaken for a bad line.
             try:
                 recipe = _recipe_from_line(line)
             except json.JSONDecodeError as exc:
-                if on_error == "raise":
-                    raise
-                if dead_letters is not None:
-                    dead_letters.add(
-                        "ingest", line_no, line.strip(),
-                        REASON_MALFORMED_JSON, str(exc),
-                    )
-                continue
+                reason, detail = REASON_MALFORMED_JSON, str(exc)
             except (KeyError, TypeError, ValueError) as exc:
-                if on_error == "raise":
-                    raise
-                if dead_letters is not None:
-                    dead_letters.add(
-                        "ingest", line_no, line.strip(),
-                        REASON_INVALID_RECIPE, repr(exc),
-                    )
+                reason, detail = REASON_INVALID_RECIPE, repr(exc)
+            else:
+                yield recipe
                 continue
-            yield recipe
+            if on_error == "raise":
+                raise CorpusLineError(line_no, reason, detail) from None
+            if dead_letters is not None:
+                dead_letters.add("ingest", line_no, line.strip(), reason, detail)
 
 
 def load_recipes_jsonl(path: str | Path) -> list[Recipe]:

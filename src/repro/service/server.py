@@ -14,11 +14,11 @@ keep-alive connections cost ten thousand parser buffers, not ten
 thousand OS threads, and a cache hit never waits behind a thread
 scheduler.
 
-The wire contract is pinned by the seed threading server
-(:mod:`repro.service.threading_server`): every response — success and
-error envelope alike, header order included — must be byte-identical,
-and the server-matrix parity suite in ``tests/test_service_http.py``
-enforces it.  The typed handlers, codec, :class:`ServiceState`,
+The wire contract is pinned by the seed threading server, kept as
+the oracle in ``tests/threading_oracle.py``: every response — success
+and error envelope alike, header order included — must be
+byte-identical, and the server-matrix parity suite in
+``tests/test_service_http.py`` enforces it.  The typed handlers, codec, :class:`ServiceState`,
 admission/deadline/breaker resilience and ``/metrics`` are untouched;
 only the socket layer changed.
 

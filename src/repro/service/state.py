@@ -18,8 +18,8 @@ pipeline entirely.
 Estimation runs under one lock.  The pipeline is pure Python and
 CPU-bound, so the GIL serializes the work anyway; the lock just keeps
 the estimator's internal memo caches and fallback table coherent
-under ``ThreadingHTTPServer``'s thread-per-connection model.  Cache
-hits and ``/healthz``/``/metrics`` never take it.
+across the server's estimation worker threads.  Cache hits and
+``/healthz``/``/metrics`` never take it.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from repro import __version__, faults
 from repro.core.estimator import NutritionEstimator
 from repro.core.explain import explain_line
 from repro.deadletter import DeadLetterLog
-from repro.pipeline.engine import (
-    RunReport,
-    ShardedCorpusEstimator,
-    _columnar_enabled,
-    _dedup_enabled,
-)
+from repro.pipeline.engine import RunReport, ShardedCorpusEstimator
 from repro.pipeline.errors import PipelineError
 from repro.pipeline.spec import EstimatorSpec
 from repro.service import codec
@@ -233,7 +228,7 @@ class ServiceState:
         self.config = config
         self.metrics = ServiceMetrics()
         # Connection-level counters, populated by the event-loop
-        # server (stay zero under the legacy threading server).
+        # server.
         self.connections = ConnectionStats()
         # The warm shared estimator — the service's whole reason to
         # exist.  Built eagerly so the first request is already fast.
@@ -338,13 +333,6 @@ class ServiceState:
         with self._cache_lock:
             self._response_cache[key] = body
 
-    def cache_info(self) -> dict:
-        with self._cache_lock:
-            return {
-                "size": len(self._response_cache),
-                "cap": self._response_cache.cap,
-            }
-
     # ------------------------------------------------------------------
     # resilience accounting
 
@@ -401,25 +389,12 @@ class ServiceState:
     def _local_table(
         self, counts: dict[str, int], deadline: Deadline | None
     ) -> tuple[dict, str]:
-        """In-process table plus the run's frozen-stats digest.
-
-        Honors ``REPRO_DEDUP=0`` by feeding the estimator one
-        ``(text, 1)`` item per occurrence instead of the collapsed
-        count table — the oracle the dedup parity tests compare
-        service responses against, byte for byte.
-        """
+        """In-process table plus the run's frozen-stats digest."""
         self._checkpoint(deadline, "estimation")
-        items: dict | list = counts
-        if not _dedup_enabled():
-            items = [
-                (text, 1)
-                for text, count in counts.items()
-                for _ in range(count)
-            ]
         quarantine = DeadLetterLog()
         with self._estimator_lock:
             table = self._estimator.corpus_estimate_table(
-                items, quarantine=quarantine, columnar=_columnar_enabled()
+                counts, quarantine=quarantine
             )
             digest = snapshot_digest(self._estimator.fallback.snapshot())
         self.note_dead_letters(len(quarantine))
@@ -709,7 +684,6 @@ class ServiceState:
 
     def metrics_snapshot(self) -> dict:
         body = self.metrics.snapshot()
-        body["response_cache"] = self.cache_info()
         body["caches"] = self.caches_snapshot()
         body["workers"] = self.config.workers
         # Which process answered: with --procs N each worker serves

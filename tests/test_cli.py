@@ -141,13 +141,6 @@ class TestBatch:
         assert "kcal/serving" in out
         assert "4 recipes" in out and "lines/s" in out
 
-    def test_batch_single_pass(self, tmp_path, capsys):
-        path = tmp_path / "corpus.jsonl"
-        main(["generate", "--recipes", "2", "--out", str(path)])
-        capsys.readouterr()
-        assert main(["batch", str(path), "--passes", "1"]) == 0
-        assert "1 pass(es)" in capsys.readouterr().out
-
     def test_batch_empty_corpus(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -155,11 +148,17 @@ class TestBatch:
         assert "empty corpus" in capsys.readouterr().out
 
     def test_batch_rejects_bad_passes(self, tmp_path, capsys):
+        """The retired flags are usage errors now: every batch runs the
+        two-phase protocol through the engine, with duplicate collapse,
+        streaming the corpus."""
         path = tmp_path / "corpus.jsonl"
         main(["generate", "--recipes", "2", "--out", str(path)])
         capsys.readouterr()
-        assert main(["batch", str(path), "--passes", "0"]) == 2
-        assert "--passes must be >= 1" in capsys.readouterr().out
+        for flags in (["--passes", "1"], ["--jsonl"], ["--no-dedup"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["batch", str(path), *flags])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_batch_sharded_workers(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
@@ -174,43 +173,35 @@ class TestBatch:
         path = tmp_path / "corpus.jsonl"
         main(["generate", "--recipes", "5", "--out", str(path)])
         capsys.readouterr()
-        assert main(["batch", str(path), "--jsonl"]) == 0
+        assert main(["batch", str(path)]) == 0
         out = capsys.readouterr().out
         assert "5 recipes" in out
         assert "1 worker(s), two-phase corpus protocol" in out
 
     def test_batch_modes_agree_per_recipe(self, tmp_path, capsys):
-        """--workers/--jsonl change execution strategy, never results:
-        all three modes run the same two-phase corpus protocol."""
+        """--workers and --run-dir change execution strategy, never
+        results: every mode runs the same two-phase corpus protocol."""
         path = tmp_path / "corpus.jsonl"
         main(["generate", "--recipes", "5", "--out", str(path)])
         capsys.readouterr()
-        main(["batch", str(path), "--jsonl"])
-        streamed = capsys.readouterr().out.splitlines()
+        main(["batch", str(path), "--run-dir", str(tmp_path / "runs")])
+        durable = capsys.readouterr().out.splitlines()
         main(["batch", str(path), "--workers", "2"])
         sharded = capsys.readouterr().out.splitlines()
         main(["batch", str(path)])
         classic = capsys.readouterr().out.splitlines()
 
         # identical per-recipe lines; the trailing summary differs by
-        # mode (timing line, plus the engine modes' duplicate-collapse
-        # accounting — absent from the in-process path).
+        # mode (timing line, durable-run accounting).
         def recipe_lines(lines):
             return [line for line in lines if "kcal/serving" in line]
 
         assert (
-            recipe_lines(streamed)
+            recipe_lines(durable)
             == recipe_lines(sharded)
             == recipe_lines(classic)
         )
         assert len(recipe_lines(classic)) == 5
-
-    def test_batch_engine_ignores_passes_with_notice(self, tmp_path, capsys):
-        path = tmp_path / "corpus.jsonl"
-        main(["generate", "--recipes", "2", "--out", str(path)])
-        capsys.readouterr()
-        assert main(["batch", str(path), "--jsonl", "--passes", "3"]) == 0
-        assert "--passes 3 is ignored" in capsys.readouterr().out
 
     def test_batch_reasons_breakdown(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
@@ -254,8 +245,8 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
 
 class TestTypedExits:
     """Bad input ends in a documented exit code and a one-line error,
-    never a traceback: 2 for usage errors, 65 for a corpus line that is
-    not a recipe."""
+    never a traceback: 2 for usage errors, 65 for ``batch --strict``
+    meeting a corpus line that is not a recipe."""
 
     @pytest.fixture()
     def bad_corpus(self, tmp_path, capsys):
@@ -282,17 +273,55 @@ class TestTypedExits:
         assert "Traceback" not in done.stderr
 
     def test_batch_bad_line_is_data_error(self, bad_corpus, capsys):
-        assert main(["batch", str(bad_corpus)]) == 65
+        assert main(["batch", str(bad_corpus), "--strict"]) == 65
+        out = capsys.readouterr().out
+        assert f"error: {bad_corpus}:3: not a valid recipe" in out
+        assert "malformed-json" in out
+        assert "kcal/serving" not in out
+
+    def test_batch_bad_line_is_data_error_two_workers(
+        self, bad_corpus, capsys
+    ):
+        code = main(["batch", str(bad_corpus), "--strict", "--workers", "2"])
+        assert code == 65
         out = capsys.readouterr().out
         assert f"error: {bad_corpus}:3: not a valid recipe" in out
         assert "malformed-json" in out
         assert "kcal/serving" not in out
 
     def test_batch_bad_line_subprocess(self, bad_corpus):
-        done = _run_cli("batch", str(bad_corpus))
+        done = _run_cli("batch", str(bad_corpus), "--strict")
         assert done.returncode == 65
-        assert f"{bad_corpus}:3:" in done.stdout
+        assert f"error: {bad_corpus}:3: not a valid recipe" in done.stdout
         assert "Traceback" not in done.stderr
+
+    def test_batch_bad_line_subprocess_two_workers(self, bad_corpus):
+        done = _run_cli("batch", str(bad_corpus), "--strict", "--workers", "2")
+        assert done.returncode == 65
+        assert f"error: {bad_corpus}:3: not a valid recipe" in done.stdout
+        assert "Traceback" not in done.stderr
+
+    def test_batch_default_quarantines_bad_line(
+        self, bad_corpus, tmp_path, capsys
+    ):
+        """Without --strict the bad line goes to the dead-letter report
+        and every other recipe prints exactly as from a clean file."""
+        lines = bad_corpus.read_text().splitlines(keepends=True)
+        clean = tmp_path / "clean.jsonl"
+        clean.write_text("".join(lines[:2] + lines[3:]))
+        assert main(["batch", str(clean)]) == 0
+        expected = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "kcal/serving" in line
+        ]
+        assert main(["batch", str(bad_corpus)]) == 0
+        out = capsys.readouterr().out
+        assert [
+            line for line in out.splitlines() if "kcal/serving" in line
+        ] == expected
+        assert len(expected) == 3
+        report = out.split("dead-letter report:")[1]
+        assert "line 3" in report and "malformed-json" in report
 
 
 class TestServe:
@@ -392,4 +421,4 @@ class TestBuildArtifact:
             main(["--help"])
         out = capsys.readouterr().out
         assert "serve" in out
-        assert "batch corpus.jsonl --workers 4 --jsonl" in out
+        assert "batch corpus.jsonl --workers 4 --reasons" in out

@@ -5,11 +5,10 @@ estimation pipeline chunk-at-a-time but promises **bit-identical**
 output to the per-line reference — estimates, reason codes, traces,
 dead letters, and the position of every raised exception.  These
 tests enforce that promise differentially: the per-line path is the
-retained oracle (``columnar=False``; ``REPRO_COLUMNAR=0`` at the
-engine), the columnar path is the candidate, and every comparison is
-plain dataclass equality, which covers every provenance field
-(``IngredientEstimate`` compares parsed tokens/tags, match,
-resolution, grams, profile, reason *and* trace).
+oracle in ``tests/oracles.py``, the package's corpus passes are the
+candidate, and every comparison is plain dataclass equality, which
+covers every provenance field (``IngredientEstimate`` compares parsed
+tokens/tags, match, resolution, grams, profile, reason *and* trace).
 
 Swept axes:
 
@@ -32,6 +31,11 @@ from repro.deadletter import DeadLetterLog
 from repro.matching.matcher import MatcherConfig
 from repro.ner.perceptron import AveragedPerceptronTagger
 from repro.recipedb.generator import RecipeGenerator
+from oracles import (
+    collect_per_line,
+    estimate_corpus_per_occurrence,
+    table_per_line,
+)
 
 #: Hand-picked hostile lines every swept corpus includes.
 EDGE_LINES = [
@@ -104,10 +108,8 @@ class TestMatcherConfigSweep:
     )
     def test_two_phase_table_bit_identical(self, config, counts):
         """Full two-phase protocol, per matcher ablation combo."""
-        reference = _fresh(config).corpus_estimate_table(counts)
-        columnar = _fresh(config).corpus_estimate_table(
-            counts, columnar=True
-        )
+        reference = table_per_line(_fresh(config), counts)
+        columnar = _fresh(config).corpus_estimate_table(counts)
         assert columnar == reference
 
 
@@ -123,22 +125,22 @@ class TestChunkSizes:
         items = list(counts.items())
         size = len(items) if chunk_size is None else chunk_size
 
-        def collect(columnar: bool):
+        def collect(run):
             estimator = _fresh()
             estimates: dict = {}
             snapshots = []
             for i in range(0, len(items), size):
-                part, snapshot = estimator.corpus_collect_estimates(
-                    items[i : i + size],
-                    ordinal_base=i,
-                    columnar=columnar,
+                part, snapshot = run(
+                    estimator, items[i : i + size], ordinal_base=i
                 )
                 estimates.update(part)
                 snapshots.append(snapshot)
             return estimates, snapshots
 
-        ref_estimates, ref_snapshots = collect(columnar=False)
-        col_estimates, col_snapshots = collect(columnar=True)
+        ref_estimates, ref_snapshots = collect(collect_per_line)
+        col_estimates, col_snapshots = collect(
+            NutritionEstimator.corpus_collect_estimates
+        )
         assert col_estimates == ref_estimates
         assert col_snapshots == ref_snapshots
 
@@ -166,13 +168,31 @@ class TestChunkSizes:
         assert actual == expected
 
 
+    def test_estimate_lines_walks_past_one_slice(self):
+        """An input longer than two batch slices, against the oracle:
+        caches carry across slice boundaries as they do across pool
+        chunks."""
+        from repro.core.columnar import SLICE_LINES
+
+        recipes = RecipeGenerator().generate(160)
+        texts = [t for r in recipes for t in r.ingredient_texts]
+        assert len(texts) > 2 * SLICE_LINES
+        oracle = _fresh()
+        expected = [
+            oracle._estimate_line(text, consult_fallback=False)
+            for text in texts
+        ]
+        outcomes = _fresh().columnar.estimate_lines(
+            texts, consult_fallback=False
+        )
+        assert [outcome.unwrap() for outcome in outcomes] == expected
+
+
 class TestTrainedPerceptron:
     def test_two_phase_table_bit_identical(self, perceptron, counts):
         """The predict_batch emission-gather path, against the oracle."""
-        reference = _fresh(tagger=perceptron).corpus_estimate_table(counts)
-        columnar = _fresh(tagger=perceptron).corpus_estimate_table(
-            counts, columnar=True
-        )
+        reference = table_per_line(_fresh(tagger=perceptron), counts)
+        columnar = _fresh(tagger=perceptron).corpus_estimate_table(counts)
         assert columnar == reference
 
     def test_small_chunks_hit_every_length_bucket(self, perceptron, counts):
@@ -236,12 +256,10 @@ class TestPoisonLines:
         poisoned[self.POISON] = 3
 
         ref_log = DeadLetterLog()
-        reference = _fresh().corpus_estimate_table(
-            poisoned, quarantine=ref_log
-        )
+        reference = table_per_line(_fresh(), poisoned, quarantine=ref_log)
         col_log = DeadLetterLog()
         columnar = _fresh().corpus_estimate_table(
-            poisoned, quarantine=col_log, columnar=True
+            poisoned, quarantine=col_log
         )
         assert columnar == reference
         assert list(col_log.records) == list(ref_log.records)
@@ -251,12 +269,9 @@ class TestPoisonLines:
 class TestEdgeChunks:
     def test_edge_lines_only_chunk(self):
         """A chunk that is nothing but hostile lines."""
-        reference = _fresh().corpus_estimate_table(
-            {text: 1 for text in EDGE_LINES}
-        )
-        columnar = _fresh().corpus_estimate_table(
-            {text: 1 for text in EDGE_LINES}, columnar=True
-        )
+        edge = {text: 1 for text in EDGE_LINES}
+        reference = table_per_line(_fresh(), edge)
+        columnar = _fresh().corpus_estimate_table(edge)
         assert columnar == reference
 
     def test_empty_chunk(self):
@@ -278,14 +293,15 @@ class TestEdgeChunks:
 
 
 class TestEngineDifferential:
-    def test_engine_columnar_vs_per_line_oracle(self, monkeypatch):
-        """REPRO_COLUMNAR=0 pins the oracle through the whole engine."""
+    def test_engine_columnar_vs_per_line_oracle(self):
+        """The whole engine, in-process and pooled, against the
+        per-line oracle."""
         from repro.pipeline.engine import ShardedCorpusEstimator
 
         recipes = RecipeGenerator().generate(30)
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        oracle = ShardedCorpusEstimator(workers=1).estimate_corpus(recipes)
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
+        oracle = estimate_corpus_per_occurrence(recipes).estimates
+        local = ShardedCorpusEstimator(workers=1).estimate_corpus(recipes)
         with ShardedCorpusEstimator(workers=2, chunk_size=32) as engine:
             sharded = engine.estimate_corpus(recipes)
+        assert local == oracle
         assert sharded == oracle

@@ -182,9 +182,10 @@ class TestChain:
 
 
 class TestFastPathEquivalence:
-    """The fused recorder-free fast path and the declarative recorded
-    driver must be the same chain: identical ChainResult over a corpus
-    plus the handcrafted edge lines, with and without corpus stats."""
+    """Estimation's recorder-free call and the recorded call behind
+    ``repro explain`` walk the one chain driver; a recorder must never
+    change its ChainResult over a corpus plus the handcrafted edge
+    lines, with and without corpus stats."""
 
     def _assert_same(self, estimator, parsed, fallback, consult):
         from repro.core.explain import _StageRecorder
@@ -202,17 +203,17 @@ class TestFastPathEquivalence:
         )
         if quantity is None:
             quantity = 1.0
-        fast = run_unit_chain(
+        plain = run_unit_chain(
             parsed, resolver, quantity, fallback, consult
         )
         recorded = run_unit_chain(
             parsed, resolver, quantity, fallback, consult,
             recorder=_StageRecorder(),
         )
-        assert fast.resolution == recorded.resolution
-        assert fast.reason == recorded.reason
-        assert fast.trace == recorded.trace
-        assert fast.used_corpus_unit == recorded.used_corpus_unit
+        assert plain.resolution == recorded.resolution
+        assert plain.reason == recorded.reason
+        assert plain.trace == recorded.trace
+        assert plain.used_corpus_unit == recorded.used_corpus_unit
 
     def test_equivalent_over_corpus_and_edge_lines(self):
         from repro.recipedb.generator import GeneratorConfig, RecipeGenerator

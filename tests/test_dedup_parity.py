@@ -4,9 +4,9 @@ Coordinator-side duplicate collapse (ISSUE 10) hash-conses the
 corpus's ingredient lines into a distinct-line table with
 multiplicities before sharding, estimates each distinct line once,
 and fans the results back out per occurrence.  The promise is
-**bit-identical** output to the retained per-occurrence oracle
-(``REPRO_DEDUP=0`` at the engine, or ``dedup=False`` at the ctor),
-which feeds every occurrence through estimation individually:
+**bit-identical** output to the per-occurrence oracle in
+``tests/oracles.py``, which feeds every occurrence through estimation
+individually:
 
 * weighted ``observe(name, unit, count=n)`` equals ``n`` independent
   observes — counts *and* first-seen insertion order, so every
@@ -14,13 +14,12 @@ which feeds every occurrence through estimation individually:
   properties below pin this algebraically, across arbitrary shard
   merge orders);
 * dead letters for a poisoned distinct line are re-expanded to one
-  record per occurrence with corpus-order line numbers, identically
-  in both modes;
-* durable runs journal the collapsed table, and a crashed deduped
-  run resumed with ``--resume`` byte-matches a clean undeduped run's
-  report;
-* the service tier's responses are byte-identical with the flag
-  flipped (the fragment cache serves the same bytes either way).
+  record per occurrence with corpus-order line numbers, exactly the
+  records the oracle writes;
+* durable runs journal the collapsed table, and a crashed run resumed
+  with ``--resume`` byte-matches the oracle's report;
+* the service tier's responses are byte-identical to the oracle's
+  estimates serialized whole.
 
 Every engine comparison is plain dataclass equality over
 ``RecipeEstimate``/``IngredientEstimate``, which covers parsed
@@ -29,6 +28,7 @@ tokens, match, resolution, grams, profile, reason and trace.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -41,6 +41,11 @@ from repro.recipedb.corpus import save_recipes_jsonl
 from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
 from repro.runs import RunManifest, RunMismatchError
 from repro.units.fallback import UnitFallback, snapshot_digest
+from oracles import (
+    batch_response_bytes,
+    estimate_corpus_per_occurrence,
+    recipe_response_bytes,
+)
 
 N_RECIPES = 24
 
@@ -55,11 +60,14 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def oracle_estimates(corpus):
-    """The retained per-occurrence oracle, single worker."""
-    return ShardedCorpusEstimator(workers=1, dedup=False).estimate_corpus(
-        list(corpus)
-    )
+def oracle_run(corpus):
+    return estimate_corpus_per_occurrence(corpus)
+
+
+@pytest.fixture(scope="module")
+def oracle_estimates(oracle_run):
+    """The per-occurrence oracle's recipe estimates."""
+    return oracle_run.estimates
 
 
 class TestEngineDifferential:
@@ -69,22 +77,9 @@ class TestEngineDifferential:
         self, corpus, oracle_estimates, workers, chunk_size
     ):
         with ShardedCorpusEstimator(
-            workers=workers, chunk_size=chunk_size, dedup=True
+            workers=workers, chunk_size=chunk_size
         ) as engine:
             assert engine.estimate_corpus(list(corpus)) == oracle_estimates
-
-    @pytest.mark.parametrize("quarantine", [False, True])
-    def test_env_toggle_pins_each_mode(
-        self, monkeypatch, corpus, oracle_estimates, quarantine
-    ):
-        monkeypatch.setenv("REPRO_DEDUP", "0")
-        engine = ShardedCorpusEstimator(workers=1, quarantine=quarantine)
-        assert engine.estimate_corpus(list(corpus)) == oracle_estimates
-        assert not engine.last_report.dedup
-        monkeypatch.setenv("REPRO_DEDUP", "1")
-        engine = ShardedCorpusEstimator(workers=1, quarantine=quarantine)
-        assert engine.estimate_corpus(list(corpus)) == oracle_estimates
-        assert engine.last_report.dedup
 
     def test_report_counts_occurrences_and_distincts(self, corpus):
         engine = ShardedCorpusEstimator(workers=1)
@@ -98,16 +93,12 @@ class TestEngineDifferential:
         assert report.distinct_lines == distinct
         # Doubled corpus: every line occurs at least twice.
         assert report.dedup_ratio >= 2.0
-        counters = report.dedup_counters()
-        assert counters["total_lines"] == total
-        assert counters["distinct_lines"] == distinct
-        assert counters["dedup"] is True
 
-    def test_stats_digest_identical_across_modes(self, corpus):
-        digests = set()
-        for dedup, workers in [(True, 1), (True, 2), (False, 1), (False, 2)]:
+    def test_stats_digest_identical_across_modes(self, corpus, oracle_run):
+        digests = {oracle_run.stats_digest}
+        for workers in (1, 2):
             with ShardedCorpusEstimator(
-                workers=workers, chunk_size=32, dedup=dedup
+                workers=workers, chunk_size=32
             ) as engine:
                 engine.estimate_corpus(list(corpus))
                 digests.add(engine.last_report.stats_digest)
@@ -129,6 +120,17 @@ class TestDeadLetterExpansion:
             (t for t, n in repeated.items() if n >= 2), key=len
         )
 
+    @staticmethod
+    def _quarantined(corpus, dedup: bool):
+        """(estimates, dead letters) from the engine (*dedup*) or the
+        per-occurrence oracle."""
+        if not dedup:
+            run = estimate_corpus_per_occurrence(corpus, quarantine=True)
+            return run.estimates, run.dead_letters.records
+        engine = ShardedCorpusEstimator(workers=1, quarantine=True)
+        estimates = engine.estimate_corpus(list(corpus))
+        return estimates, engine.last_report.dead_letters.records
+
     @pytest.mark.parametrize("dedup", [True, False])
     def test_one_letter_per_occurrence_in_corpus_order(
         self, monkeypatch, corpus, poisoned_text, dedup
@@ -136,11 +138,7 @@ class TestDeadLetterExpansion:
         monkeypatch.setenv(
             "REPRO_FAULTS", f"raise@estimate-line:{poisoned_text}"
         )
-        engine = ShardedCorpusEstimator(
-            workers=1, quarantine=True, dedup=dedup
-        )
-        estimates = engine.estimate_corpus(list(corpus))
-        letters = engine.last_report.dead_letters.records
+        estimates, letters = self._quarantined(corpus, dedup)
         flat = [t for r in corpus for t in r.ingredient_texts]
         expected_line_nos = [
             i for i, t in enumerate(flat) if t == poisoned_text
@@ -165,14 +163,9 @@ class TestDeadLetterExpansion:
         monkeypatch.setenv(
             "REPRO_FAULTS", f"raise@estimate-line:{poisoned_text}"
         )
-        records = []
-        for dedup in (True, False):
-            engine = ShardedCorpusEstimator(
-                workers=1, quarantine=True, dedup=dedup
-            )
-            engine.estimate_corpus(list(corpus))
-            records.append(engine.last_report.dead_letters.records)
-        assert records[0] == records[1]
+        engine = self._quarantined(corpus, dedup=True)
+        oracle = self._quarantined(corpus, dedup=False)
+        assert engine == oracle
 
 
 class TestDurableDedup:
@@ -182,22 +175,35 @@ class TestDurableDedup:
         save_recipes_jsonl(list(corpus), path)
         return path
 
-    def test_manifest_records_dedup(self, tmp_path, corpus_path):
-        for dedup in (True, False):
-            run_dir = tmp_path / f"run-{dedup}"
-            with ShardedCorpusEstimator(
-                workers=2, chunk_size=24, run_dir=run_dir, dedup=dedup
-            ) as engine:
-                engine.estimate_corpus(str(corpus_path))
-            assert RunManifest.load(run_dir).config["dedup"] is dedup
-
-    def test_resume_refuses_flipped_dedup(self, tmp_path, corpus_path):
+    def test_manifest_omits_dedup_key(self, tmp_path, corpus_path):
+        """Every run collapses duplicates, so the manifest no longer
+        records a mode — and a resume accepts an older manifest that
+        recorded ``dedup: true``."""
         run_dir = tmp_path / "run"
         with ShardedCorpusEstimator(
-            workers=1, chunk_size=24, run_dir=run_dir, dedup=True
+            workers=2, chunk_size=24, run_dir=run_dir
+        ) as engine:
+            expected = engine.estimate_corpus(str(corpus_path))
+        manifest = RunManifest.load(run_dir)
+        assert "dedup" not in manifest.config
+        manifest.config["dedup"] = True
+        manifest.status = "running"
+        manifest.save(run_dir)
+        with ShardedCorpusEstimator(
+            workers=2, chunk_size=24, run_dir=run_dir, resume=True
+        ) as engine:
+            assert engine.estimate_corpus(str(corpus_path)) == expected
+
+    def test_resume_refuses_flipped_dedup(self, tmp_path, corpus_path):
+        """A run recorded without duplicate collapse journaled
+        per-occurrence chunks; resuming it must refuse, typed."""
+        run_dir = tmp_path / "run"
+        with ShardedCorpusEstimator(
+            workers=1, chunk_size=24, run_dir=run_dir
         ) as engine:
             engine.estimate_corpus(str(corpus_path))
         manifest = RunManifest.load(run_dir)
+        manifest.config["dedup"] = False
         manifest.status = "running"
         manifest.save(run_dir)
         with pytest.raises(RunMismatchError, match="dedup"):
@@ -206,25 +212,24 @@ class TestDurableDedup:
                 chunk_size=24,
                 run_dir=run_dir,
                 resume=True,
-                dedup=False,
             ).estimate_corpus(str(corpus_path))
 
     def test_crashed_dedup_resume_matches_clean_oracle_run(
-        self, tmp_path, corpus_path, oracle_estimates
+        self, tmp_path, corpus_path, oracle_run
     ):
-        """Crash a deduped durable run mid-journal, resume it, and
-        byte-compare against a clean undeduped run: estimates equal
-        the oracle and the dead-letter reports are byte-identical."""
+        """Crash a durable run mid-journal, resume it, and
+        byte-compare against the per-occurrence oracle: estimates
+        equal and the dead-letter reports are byte-identical."""
         from repro.deadletter import REPORT_NAME, write_report_jsonl
         from repro.runs import RunJournal
 
         run_dir = tmp_path / "run"
         with ShardedCorpusEstimator(
-            workers=2, chunk_size=24, run_dir=run_dir, dedup=True
+            workers=2, chunk_size=24, run_dir=run_dir
         ) as engine:
             full = engine.estimate_corpus(str(corpus_path))
             report = engine.last_report
-        assert full == oracle_estimates
+        assert full == oracle_run.estimates
         write_report_jsonl(
             run_dir / REPORT_NAME, report.dead_letters, report.run_id
         )
@@ -242,54 +247,60 @@ class TestDurableDedup:
         ) as engine:
             resumed = engine.estimate_corpus(str(corpus_path))
             resumed_report = engine.last_report
-        assert resumed == oracle_estimates
+        assert resumed == oracle_run.estimates
         assert resumed_report.resumed
+        assert 0 < resumed_report.replayed_chunks
 
-        # Byte-compare the resumed deduped report against a clean
-        # undeduped run's report (run ids normalized: they are the
-        # only legitimately differing bytes).
-        clean_dir = tmp_path / "clean-oracle"
-        with ShardedCorpusEstimator(
-            workers=2, chunk_size=24, run_dir=clean_dir, dedup=False
-        ) as engine:
-            engine.estimate_corpus(str(corpus_path))
-            clean_report = engine.last_report
+        # Byte-compare the resumed report against the oracle's (run
+        # ids normalized: they are the only legitimately differing
+        # bytes).
+        oracle_dir = tmp_path / "oracle"
+        oracle_dir.mkdir()
         write_report_jsonl(
             run_dir / REPORT_NAME, resumed_report.dead_letters, "run"
         )
         write_report_jsonl(
-            clean_dir / REPORT_NAME, clean_report.dead_letters, "run"
+            oracle_dir / REPORT_NAME, oracle_run.dead_letters, "run"
         )
         assert (run_dir / REPORT_NAME).read_bytes() == (
-            clean_dir / REPORT_NAME
+            oracle_dir / REPORT_NAME
         ).read_bytes()
 
 
 class TestServiceByteParity:
-    def test_responses_byte_identical_with_dedup_flipped(
-        self, monkeypatch, corpus
-    ):
+    def test_responses_byte_identical_with_dedup_flipped(self, corpus):
+        """Service responses (fragment-assembled from collapsed
+        tables) equal the oracle's estimates serialized whole."""
         from repro.service import codec
         from repro.service.state import ServiceConfig, ServiceState
 
         state = ServiceState(ServiceConfig(port=0))
+        batch = corpus[:8]
         request = codec.BatchRequest(
             recipes=tuple(
                 codec.EstimateRequest(
                     ingredients=tuple(r.ingredient_texts),
                     servings=r.servings,
                 )
-                for r in corpus[:8]
+                for r in batch
             )
         )
-        single = codec.EstimateRequest(
-            ingredients=tuple(corpus[0].ingredient_texts) * 2, servings=2
+        doubled = dataclasses.replace(
+            corpus[0], ingredients=corpus[0].ingredients * 2, servings=2
         )
-        monkeypatch.setenv("REPRO_DEDUP", "1")
-        deduped = (state.estimate_batch(request), state.estimate(single))
-        monkeypatch.setenv("REPRO_DEDUP", "0")
-        oracle = (state.estimate_batch(request), state.estimate(single))
-        assert deduped == oracle
+        single = codec.EstimateRequest(
+            ingredients=tuple(doubled.ingredient_texts), servings=2
+        )
+        served = (state.estimate_batch(request), state.estimate(single))
+        oracle = (
+            batch_response_bytes(
+                estimate_corpus_per_occurrence(batch).estimates
+            ),
+            recipe_response_bytes(
+                estimate_corpus_per_occurrence([doubled]).estimates[0]
+            ),
+        )
+        assert served == oracle
 
 
 class TestWeightedObserveProperties:

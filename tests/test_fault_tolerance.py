@@ -28,7 +28,11 @@ from repro import (
     ShardedCorpusEstimator,
 )
 from repro.core.resolution import REASON_ESTIMATOR_ERROR
-from repro.deadletter import REASON_MALFORMED_JSON, DeadLetterLog
+from repro.deadletter import (
+    REASON_INVALID_RECIPE,
+    REASON_MALFORMED_JSON,
+    DeadLetterLog,
+)
 from repro.faults import (
     CRASH_EXIT_CODE,
     FaultPlan,
@@ -36,7 +40,11 @@ from repro.faults import (
     InjectedFault,
 )
 from repro.pipeline.errors import ChunkRetriesExhaustedError, PipelineError
-from repro.recipedb.corpus import iter_recipes_jsonl, save_recipes_jsonl
+from repro.recipedb.corpus import (
+    CorpusLineError,
+    iter_recipes_jsonl,
+    save_recipes_jsonl,
+)
 from repro.recipedb.generator import GeneratorConfig
 
 
@@ -259,11 +267,26 @@ class TestIngestQuarantine:
     def test_strict_default_raises_on_corruption(
         self, monkeypatch, corpus_path
     ):
-        import json
-
         monkeypatch.setenv("REPRO_FAULTS", "corrupt@ingest-line:3")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(CorpusLineError) as exc_info:
             list(iter_recipes_jsonl(corpus_path))
+        assert isinstance(exc_info.value, ValueError)
+        assert exc_info.value.line_no == 3
+        assert exc_info.value.reason == REASON_MALFORMED_JSON
+        assert str(exc_info.value).startswith(
+            "line 3: not a valid recipe (malformed-json: "
+        )
+
+    def test_strict_names_invalid_recipe(self, tmp_path, corpus_path):
+        """Valid JSON without the recipe schema: same typed error, the
+        other reason code."""
+        lines = corpus_path.read_text().splitlines(keepends=True)
+        path = tmp_path / "schema.jsonl"
+        path.write_text("".join(lines[:1] + ['{"title": "x"}\n'] + lines[1:]))
+        with pytest.raises(CorpusLineError) as exc_info:
+            list(iter_recipes_jsonl(path))
+        assert exc_info.value.line_no == 2
+        assert exc_info.value.reason == REASON_INVALID_RECIPE
 
     def test_skip_mode_counts_and_continues(
         self, monkeypatch, corpus_path, corpus
@@ -311,11 +334,9 @@ class TestIngestQuarantine:
     def test_strict_engine_propagates_corruption(
         self, monkeypatch, corpus_path
     ):
-        import json
-
         monkeypatch.setenv("REPRO_FAULTS", "corrupt@ingest-line:3")
         engine = ShardedCorpusEstimator(workers=1)
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(CorpusLineError, match="^line 3: "):
             engine.estimate_corpus(corpus_path)
 
 

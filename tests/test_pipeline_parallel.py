@@ -150,7 +150,6 @@ class TestShardedParity:
             EstimatorSpec(tagger=_ExplodingTagger()),
             workers=2,
             chunk_size=2,
-            max_pending=2,
         )
         with pytest.raises(RuntimeError, match="exploding tagger"):
             engine.estimate_corpus(shuffled_corpus[:12])

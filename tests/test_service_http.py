@@ -24,17 +24,14 @@ import json
 import pytest
 
 from repro import NutritionEstimator
-from repro.service import (
-    NutritionService,
-    ServiceConfig,
-    ThreadingNutritionService,
-)
+from repro.service import NutritionService, ServiceConfig
 from service_harness import (
     ServeProcess,
     build_request,
     raw_request,
     split_response,
 )
+from threading_oracle import ThreadingNutritionService
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +69,7 @@ class TestIntrospection:
         response, body = call(conn, "GET", "/metrics")
         assert response.status == 200
         for key in ("uptime_s", "requests_total", "errors_total",
-                    "cache_hits_total", "endpoints", "response_cache"):
+                    "cache_hits_total", "endpoints", "caches"):
             assert key in body
         endpoint = body["endpoints"]["/v1/parse"]
         for key in ("requests", "errors", "cache_hits", "cache_hit_rate",

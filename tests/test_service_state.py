@@ -228,7 +228,7 @@ class TestDispatch:
         assert endpoint["requests"] == 2
         assert endpoint["cache_hits"] == 1
         assert endpoint["errors"] == 0
-        assert snapshot["response_cache"]["size"] == 1
+        assert snapshot["caches"]["response"]["size"] == 1
 
     def test_normalized_payloads_share_entry(self, fresh_state):
         dispatch(fresh_state, "POST", "/v1/parse", {"text": "1 tsp salt"})
@@ -269,7 +269,7 @@ class TestDispatch:
     def test_cache_eviction_respects_cap(self, fresh_state):
         for i in range(12):
             dispatch(fresh_state, "POST", "/v1/parse", {"text": f"{i} tsp salt"})
-        info = fresh_state.cache_info()
+        info = fresh_state.metrics_snapshot()["caches"]["response"]
         assert info["size"] <= info["cap"] == 8
 
     def test_every_route_is_covered(self):

@@ -5,20 +5,23 @@ compact per-recipe line-id table (distinct texts, one id per line
 occurrence, per-recipe bounds and servings) and assembles recipe
 estimates from that table, never from a second decode.  These tests
 count calls to the per-line decoder, ``_recipe_from_line``, across
-every engine configuration that reads a corpus: dedup on and off,
-one and two workers, durable runs and their resume, quarantine with
-a corrupted line and a poisoned ingredient line, and the CLI's
-engine branch (whose titles come from the same traversal).
+every engine configuration that reads a corpus: built from source and
+restored from a build-once artifact, one and two workers, durable
+runs and their resume, quarantine with a corrupted line and a
+poisoned ingredient line, and the CLI (whose titles come from the
+same traversal).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import NutritionEstimator
+from repro.artifacts import save_artifact
 from repro.cli import main
 from repro.core.resolution import REASON_ESTIMATOR_ERROR
 from repro.deadletter import REASON_MALFORMED_JSON
-from repro.pipeline import ShardedCorpusEstimator
+from repro.pipeline import EstimatorSpec, ShardedCorpusEstimator
 from repro.recipedb import corpus as corpus_module
 from repro.recipedb.corpus import save_recipes_jsonl
 from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
@@ -58,6 +61,13 @@ def nonblank_lines(corpus_path):
     )
 
 
+@pytest.fixture(scope="module")
+def artifact_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("single-decode-artifact") / "p.artifact"
+    save_artifact(path, NutritionEstimator())
+    return str(path)
+
+
 @pytest.fixture()
 def decodes(monkeypatch):
     """Every line handed to the JSONL decoder during the test."""
@@ -83,6 +93,11 @@ def _poisoned_text(recipes) -> str:
     return max((t for t in set(flat) if flat.count(t) >= 2), key=len)
 
 
+def _spec(artifact: bool, artifact_path: str) -> EstimatorSpec:
+    """The engine's spec: restored from the artifact, or from source."""
+    return EstimatorSpec(artifact_path=artifact_path if artifact else None)
+
+
 def _read(engine, method: str, source):
     """Drive one corpus-reading engine entry point to completion."""
     if method == "iter_corpus_estimates":
@@ -92,35 +107,36 @@ def _read(engine, method: str, source):
 
 @pytest.mark.parametrize("method", ["iter_corpus_estimates", "corpus_diagnostics"])
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("dedup", [True, False])
+@pytest.mark.parametrize("artifact", [True, False])
 class TestOneDecodePerLine:
     def test_plain_run(
         self, decodes, corpus_path, nonblank_lines, recipes, method,
-        workers, dedup,
+        workers, artifact, artifact_path,
     ):
         expected = _read(ShardedCorpusEstimator(workers=1), method, recipes)
         decodes.clear()
         with ShardedCorpusEstimator(
-            workers=workers, chunk_size=32, dedup=dedup
+            _spec(artifact, artifact_path), workers=workers, chunk_size=32
         ) as engine:
             assert _read(engine, method, str(corpus_path)) == expected
         assert len(decodes) == nonblank_lines
 
     def test_durable_run_and_resume(
         self, decodes, tmp_path, corpus_path, nonblank_lines, recipes,
-        method, workers, dedup,
+        method, workers, artifact, artifact_path,
     ):
         expected = _read(ShardedCorpusEstimator(workers=1), method, recipes)
         decodes.clear()
         run_dir = tmp_path / "run"
+        spec = _spec(artifact, artifact_path)
         with ShardedCorpusEstimator(
-            workers=workers, chunk_size=32, dedup=dedup, run_dir=run_dir
+            spec, workers=workers, chunk_size=32, run_dir=run_dir
         ) as engine:
             assert _read(engine, method, str(corpus_path)) == expected
         assert len(decodes) == nonblank_lines
         decodes.clear()
         with ShardedCorpusEstimator(
-            workers=workers, chunk_size=32, dedup=dedup, run_dir=run_dir,
+            spec, workers=workers, chunk_size=32, run_dir=run_dir,
             resume=True,
         ) as engine:
             assert _read(engine, method, str(corpus_path)) == expected
@@ -130,7 +146,7 @@ class TestOneDecodePerLine:
 
     def test_quarantine_letters_keep_their_positions(
         self, monkeypatch, decodes, corpus_path, nonblank_lines, recipes,
-        method, workers, dedup,
+        method, workers, artifact, artifact_path,
     ):
         poisoned = _poisoned_text(recipes)
         monkeypatch.setenv(
@@ -145,7 +161,8 @@ class TestOneDecodePerLine:
         )
         decodes.clear()
         with ShardedCorpusEstimator(
-            workers=workers, chunk_size=32, dedup=dedup, quarantine=True
+            _spec(artifact, artifact_path), workers=workers, chunk_size=32,
+            quarantine=True,
         ) as engine:
             assert _read(engine, method, str(corpus_path)) == expected
             letters = engine.last_report.dead_letters.records
@@ -191,7 +208,7 @@ class TestInMemorySources:
 
 class TestCliBatch:
     @pytest.mark.parametrize(
-        "flags", [["--jsonl"], ["--workers", "2"], ["--jsonl", "--strict"]]
+        "flags", [[], ["--workers", "2"], ["--strict"]]
     )
     def test_engine_branch_decodes_once(
         self, capsys, decodes, corpus_path, nonblank_lines, recipes, flags

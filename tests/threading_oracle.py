@@ -1,8 +1,8 @@
-"""The seed thread-per-connection HTTP server, kept as the parity oracle.
+"""The seed thread-per-connection HTTP server: the wire-format oracle.
 
 This is the original ``ThreadingHTTPServer``-based serving tier the
-event-loop server (:mod:`repro.service.server`) replaced.  It stays in
-the tree for one reason: the server-matrix parity suite
+event-loop server (:mod:`repro.service.server`) replaced.  It lives
+under ``tests/`` for one reason: the server-matrix parity suite
 (``tests/test_service_http.py``) runs every endpoint and every
 error-envelope case against **both** implementations and asserts the
 responses are byte-identical — the threading server defines the wire
@@ -11,8 +11,7 @@ contract, the event loop must reproduce it exactly.
 It is fully functional (same :class:`ServiceState`, same handlers,
 same resilience), just slower under concurrency: one OS thread per
 connection, all of them serialized by the GIL, with stdlib
-``http.server`` parsing overhead per request.  ``repro serve`` no
-longer uses it.
+``http.server`` parsing overhead per request.
 """
 
 from __future__ import annotations
