@@ -59,7 +59,11 @@ from repro.pipeline.engine import (
     DEFAULT_MAX_CHUNK_RETRIES,
 )
 from repro.recipedb.corpus import CorpusLineError, save_recipes_jsonl
-from repro.deadletter import REPORT_NAME, write_report_jsonl
+from repro.deadletter import (
+    REPORT_NAME,
+    EstimateLineError,
+    write_report_jsonl,
+)
 from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
 from repro.runs import (
     RunError,
@@ -159,7 +163,8 @@ def _spec_from_args(args: argparse.Namespace) -> EstimatorSpec:
 
 
 #: Exit code for ``batch --strict`` meeting a corpus line that is not a
-#: valid recipe (EX_DATAERR).
+#: valid recipe, or an ingredient line whose estimation raises
+#: (EX_DATAERR).
 EXIT_DATA_ERROR = 65
 
 #: Exit code for a batch run stopped by SIGINT/SIGTERM after flushing
@@ -281,6 +286,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"error: {args.path}:{exc.line_no}: not a valid recipe "
             f"({exc.reason}: {exc.detail})"
         )
+        return EXIT_DATA_ERROR
+    except EstimateLineError as exc:
+        # Only --strict gets here too: quarantine dead-letters the
+        # line under the same "estimate line N" number.
+        print(f"error: {args.path}: {exc}")
         return EXIT_DATA_ERROR
     except _Interrupted as exc:
         name = signal.Signals(exc.signum).name

@@ -32,7 +32,7 @@ from repro.core.resolution import (
     ChainResult,
     run_unit_chain,
 )
-from repro.deadletter import DeadLetterLog
+from repro.deadletter import DeadLetterLog, EstimateLineError
 from repro.matching.matcher import DescriptionMatcher, MatcherConfig
 from repro.matching.types import MatchResult
 from repro.ner.rule_tagger import RuleBasedTagger
@@ -546,8 +546,9 @@ class NutritionEstimator:
         distinct-line table — shard coordinators pass their chunk's
         base ordinal) and replaced by a zero-contribution
         :func:`quarantined_estimate` instead of aborting the pass.
-        Without it (the default), exceptions propagate — strict mode,
-        the seed behaviour.
+        Without it (the default, strict mode) the first failing line
+        aborts the pass with an :class:`EstimateLineError` carrying
+        that same number.
 
         Returns ``(text -> estimate, observation snapshot)``.  The
         snapshot merges across shards via :meth:`UnitFallback.merge`.
@@ -567,7 +568,9 @@ class NutritionEstimator:
                 estimate = outcome.unwrap()
             except Exception as exc:
                 if quarantine is None:
-                    raise
+                    raise EstimateLineError(
+                        ordinal_base + i, text, exc
+                    ) from exc
                 estimate = quarantined_estimate(text, exc)
                 quarantine.add(
                     "estimate",
@@ -602,7 +605,8 @@ class NutritionEstimator:
         its valid pass-1 name-only estimate standing (pass 2 can only
         upgrade a line, so keeping the pass-1 outcome is the safe
         degradation).  *ordinals* maps text to its distinct-line
-        ordinal for the dead-letter record.
+        ordinal for the dead-letter record, or for the
+        :class:`EstimateLineError` a strict pass raises.
         """
         estimates: dict[str, IngredientEstimate] = {}
         items = texts if isinstance(texts, list) else list(texts)
@@ -611,11 +615,12 @@ class NutritionEstimator:
             try:
                 estimates[text] = outcome.unwrap()
             except Exception as exc:
+                ordinal = (ordinals or {}).get(text, -1)
                 if quarantine is None:
-                    raise
+                    raise EstimateLineError(ordinal, text, exc) from exc
                 quarantine.add(
                     "estimate",
-                    (ordinals or {}).get(text, -1),
+                    ordinal,
                     text,
                     REASON_ESTIMATOR_ERROR,
                     repr(exc),
@@ -662,12 +667,10 @@ class NutritionEstimator:
             for text, estimate in estimates.items()
             if estimate.status == STATUS_NAME_ONLY
         ]
-        ordinals = None
-        if quarantine is not None:
-            ordinals = {}
-            for i, (text, _) in enumerate(items):
-                if text not in ordinals:
-                    ordinals[text] = i
+        ordinals: dict[str, int] = {}
+        for i, (text, _) in enumerate(items):
+            if text not in ordinals:
+                ordinals[text] = i
         estimates.update(
             self.corpus_fallback_estimates(
                 pending, quarantine=quarantine, ordinals=ordinals

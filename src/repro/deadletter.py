@@ -70,6 +70,31 @@ class DeadLetter:
         }
 
 
+class EstimateLineError(RuntimeError):
+    """An ingredient line whose estimation raised, in a strict run.
+
+    The strict-mode twin of an estimate-side :class:`DeadLetter`:
+    ``line_no`` numbers the line exactly as the quarantine's record
+    would (its distinct-line ordinal for table-level calls, its
+    position in the flattened ingredient-line stream for corpus runs),
+    and ``error`` is the exception estimation raised.  Picklable, so
+    it crosses the worker-pool boundary intact.
+    """
+
+    def __init__(self, line_no: int, text: str, error: BaseException):
+        super().__init__(line_no, text, error)
+        self.line_no = line_no
+        self.text = text
+        self.error = error
+
+    def __str__(self) -> str:
+        return (
+            f"estimate line {self.line_no}: "
+            f"{self.text[:MAX_INPUT_CHARS]!r} "
+            f"({type(self.error).__name__}: {self.error})"
+        )
+
+
 class DeadLetterLog:
     """An append-only collection of :class:`DeadLetter` records."""
 

@@ -5,12 +5,20 @@ set: token identity, orthographic shape, affixes, neighbouring tokens,
 and small domain lexicons (units, sizes, temperatures, dry/fresh and
 state words).  Features are plain strings — both the CRF and the
 perceptron index them the same way.
+
+Every template reads exactly one token, so the templates are stated
+per token, as the :class:`TokenParts` a token contributes in each role
+(itself, w±1, w±2); :func:`compose` concatenates a position's parts.
+Training, ``predict`` and the perceptron's batched decode share this
+one definition.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 _NUM_RE = re.compile(r"^\d+(\.\d+)?$")
 _FRACTION_RE = re.compile(r"^\d+/\d+$")
@@ -64,13 +72,11 @@ STATE_WORDS: frozenset[str] = frozenset(
 )
 
 
-@functools.lru_cache(maxsize=65536)
 def word_shape(token: str) -> str:
-    """Collapse a token to its orthographic shape (memoized).
+    """Collapse a token to its orthographic shape.
 
-    Corpus vocabulary is small relative to corpus size, so the
-    per-character scan runs once per distinct token, not once per
-    occurrence per feature-window position.
+    Called once per distinct token: :func:`token_parts` memoizes
+    everything derived from a token, the shape included.
 
     >>> word_shape("Onion")
     'Xx'
@@ -92,79 +98,124 @@ def word_shape(token: str) -> str:
     return "".join(shape)
 
 
-def token_features(
-    tokens: list[str] | tuple[str, ...],
-    i: int,
-    shapes: list[str] | None = None,
-) -> list[str]:
-    """Features for position *i* of the token sequence.
+class TokenParts(NamedTuple):
+    """The feature strings one token contributes, by role.
 
-    *shapes*, when given, holds the precomputed ``word_shape`` of every
-    token — :func:`extract_features` computes each shape once per
-    phrase instead of once per position window.
+    Every template reads exactly one token — the token itself, w±1 or
+    w±2 — so a position's features are the concatenation of five
+    per-token parts (see :func:`compose`).  The taggers exploit this
+    to derive features, or interned feature ids, once per distinct
+    token instead of once per position.
     """
-    if shapes is None:
-        shapes = [word_shape(t) for t in tokens]
-    token = tokens[i]
+
+    own: tuple  # at its own position
+    as_prev: tuple  # as w-1 of the next position
+    as_next: tuple  # as w+1 of the previous position
+    as_prev2: tuple  # as w-2
+    as_next2: tuple  # as w+2
+
+
+#: The parts of an out-of-range neighbour: ``BOS`` where w-1 is
+#: missing, ``EOS`` where w+1 is, nothing for a missing w±2.
+EDGE = TokenParts((), ("BOS",), ("EOS",), (), ())
+
+
+@functools.lru_cache(maxsize=65536)
+def token_parts(token: str) -> TokenParts:
+    """Per-role feature strings of *token* (memoized).
+
+    Corpus vocabulary is small relative to corpus size, so the
+    orthographic scans and lexicon probes run once per distinct token.
+    """
     lower = token.lower()
-    feats = [
+    shape = word_shape(token)
+    own = [
         f"w={lower}",
-        f"shape={shapes[i]}",
+        f"shape={shape}",
         f"suf2={lower[-2:]}",
         f"suf3={lower[-3:]}",
         f"pre2={lower[:2]}",
         f"pre3={lower[:3]}",
     ]
-    if _NUM_RE.match(token):
-        feats.append("is_number")
-    if _FRACTION_RE.match(token):
-        feats.append("is_fraction")
+    is_number = bool(_NUM_RE.match(token))
+    is_fraction = bool(_FRACTION_RE.match(token))
+    is_unit = lower in UNIT_WORDS
+    if is_number:
+        own.append("is_number")
+    if is_fraction:
+        own.append("is_fraction")
     if not any(c.isalnum() for c in token):
-        feats.append("is_punct")
+        own.append("is_punct")
     if "-" in token:
-        feats.append("has_hyphen")
-    if lower in UNIT_WORDS:
-        feats.append("lex=unit")
+        own.append("has_hyphen")
+    if is_unit:
+        own.append("lex=unit")
     if lower in SIZE_WORDS:
-        feats.append("lex=size")
+        own.append("lex=size")
     if lower in TEMP_WORDS:
-        feats.append("lex=temp")
+        own.append("lex=temp")
     if lower in DF_WORDS:
-        feats.append("lex=df")
+        own.append("lex=df")
     if lower in STATE_WORDS:
-        feats.append("lex=state")
+        own.append("lex=state")
     if lower.endswith("ed"):
-        feats.append("suffix_ed")
+        own.append("suffix_ed")
     if lower.endswith("ing"):
-        feats.append("suffix_ing")
+        own.append("suffix_ing")
     if lower.endswith("ly"):
-        feats.append("suffix_ly")
-    if i == 0:
-        feats.append("BOS")
-    else:
-        prev = tokens[i - 1].lower()
-        feats.append(f"w-1={prev}")
-        feats.append(f"shape-1={shapes[i - 1]}")
-        if prev in UNIT_WORDS:
-            feats.append("prev_lex=unit")
-        if _NUM_RE.match(tokens[i - 1]) or _FRACTION_RE.match(tokens[i - 1]):
-            feats.append("prev_is_number")
-    if i == len(tokens) - 1:
-        feats.append("EOS")
-    else:
-        nxt = tokens[i + 1].lower()
-        feats.append(f"w+1={nxt}")
-        if nxt in UNIT_WORDS:
-            feats.append("next_lex=unit")
-    if i >= 2:
-        feats.append(f"w-2={tokens[i - 2].lower()}")
-    if i + 2 < len(tokens):
-        feats.append(f"w+2={tokens[i + 2].lower()}")
-    return feats
+        own.append("suffix_ly")
+    as_prev = [f"w-1={lower}", f"shape-1={shape}"]
+    if is_unit:
+        as_prev.append("prev_lex=unit")
+    if is_number or is_fraction:
+        as_prev.append("prev_is_number")
+    as_next = [f"w+1={lower}"]
+    if is_unit:
+        as_next.append("next_lex=unit")
+    return TokenParts(
+        tuple(own),
+        tuple(as_prev),
+        tuple(as_next),
+        (f"w-2={lower}",),
+        (f"w+2={lower}",),
+    )
 
 
-def extract_features(tokens: list[str] | tuple[str, ...]) -> list[list[str]]:
+def padded_parts(tokens: Iterable[str]) -> list[TokenParts]:
+    """:func:`token_parts` of every token, with two :data:`EDGE` pads
+    on each side — the layout :func:`compose` indexes."""
+    return [EDGE, EDGE, *map(token_parts, tokens), EDGE, EDGE]
+
+
+def compose(padded: Sequence[TokenParts], i: int) -> list:
+    """Features of position *i* from its neighbourhood's parts.
+
+    *padded* is :func:`padded_parts` output (or the same layout with
+    interned ids in place of strings), so position *i* sits at
+    ``padded[i + 2]`` and its missing neighbours are edge pads.  The
+    order — own, w-1 (or ``BOS``), w+1 (or ``EOS``), w-2, w+2 — is
+    the template order.
+    """
+    j = i + 2
+    return [
+        *padded[j].own,
+        *padded[j - 1].as_prev,
+        *padded[j + 1].as_next,
+        *padded[j - 2].as_prev2,
+        *padded[j + 2].as_next2,
+    ]
+
+
+def token_features(tokens: Sequence[str], i: int) -> list[str]:
+    """Features for position *i* of the token sequence.
+
+    Only the five tokens around *i* are read, so only their parts are
+    derived.
+    """
+    return compose(padded_parts(tokens[max(0, i - 2) : i + 3]), min(i, 2))
+
+
+def extract_features(tokens: Iterable[str]) -> list[list[str]]:
     """Per-token feature lists for a whole phrase."""
-    toks = list(tokens)
-    shapes = [word_shape(t) for t in toks]
-    return [token_features(toks, i, shapes) for i in range(len(toks))]
+    padded = padded_parts(tokens)
+    return [compose(padded, i) for i in range(len(padded) - 4)]

@@ -14,7 +14,13 @@ from collections import defaultdict
 import numpy as np
 
 from repro.ner.corpus import TAGS, TaggedPhrase
-from repro.ner.features import extract_features, token_features, word_shape
+from repro.ner.features import (
+    EDGE,
+    TokenParts,
+    compose,
+    extract_features,
+    token_parts,
+)
 from repro.ner.viterbi import viterbi_decode, viterbi_decode_batch
 from repro.utils import DEFAULT_CACHE_CAP, BoundedCache
 
@@ -36,15 +42,14 @@ class AveragedPerceptronTagger:
         # while training (the dict is the live, evolving store).
         self._feature_ids: dict[str, int] | None = None
         self._weight_matrix: np.ndarray | None = None
-        # Window memo for predict_batch: the features of a position
-        # are a pure function of the 5-token window around it (None
-        # marks out-of-range neighbours, which encodes BOS/EOS and the
-        # w±2 presence flags exactly), so the interned feature ids of
-        # a recurring window are computed once.  Rebuilt whenever the
-        # interned view is (see _intern_weights).
-        self._window_ids: dict[tuple, list[int]] = BoundedCache(
+        # Per-token memo for predict_batch: token -> its TokenParts
+        # with every string replaced by its interned id (unknown
+        # features dropped), and the edge pads' parts the same way.
+        # Rebuilt whenever the interned view is (see _intern_weights).
+        self._token_ids: dict[str, TokenParts] = BoundedCache(
             DEFAULT_CACHE_CAP
         )
+        self._edge_ids = EDGE
 
     @property
     def tags(self) -> tuple[str, ...]:
@@ -183,7 +188,21 @@ class AveragedPerceptronTagger:
             matrix[feature_ids[feat], tag] = weight
         self._feature_ids = feature_ids
         self._weight_matrix = matrix
-        self._window_ids = BoundedCache(DEFAULT_CACHE_CAP)
+        self._token_ids = BoundedCache(DEFAULT_CACHE_CAP)
+        self._edge_ids = self._intern_parts(EDGE)
+
+    def _intern_parts(self, parts: TokenParts) -> TokenParts:
+        """*parts* with each feature string replaced by its interned
+        id; features the model never weighted are dropped."""
+        feature_ids = self._feature_ids
+        return TokenParts._make(
+            tuple(
+                fid
+                for f in part
+                if (fid := feature_ids.get(f)) is not None
+            )
+            for part in parts
+        )
 
     def _emissions(self, feats: list[list[str]]) -> np.ndarray:
         """Emission scores, (T, K).
@@ -246,49 +265,40 @@ class AveragedPerceptronTagger:
         reduces axis 0 of each block sequentially exactly like
         ``matrix[ids].sum(axis=0)``, so per-line emissions — and the
         per-line Viterbi decodes over them — are bit-identical to
-        :meth:`predict`.  Viterbi itself stays per sequence (it is a
-        sequential recurrence); only the emission gather is batched.
+        :meth:`predict`.  A position's feature ids come from a
+        per-token memo (see :func:`repro.ner.features.compose`), and
+        equal-length sequences decode together through
+        :func:`viterbi_decode_batch`.
         """
         matrix = self._weight_matrix
         if matrix is None:
             return [self.predict(tokens) for tokens in token_seqs]
-        feature_ids = self._feature_ids
-        window_ids = self._window_ids
+        token_ids = self._token_ids
+        edge = self._edge_ids
         K = len(self._tags)
 
-        # Interned feature ids per token, memoized on the 5-token
-        # window (None-padded — the padding encodes BOS/EOS and the
-        # w±2 presence exactly, see token_features).
-        ids_per_seq: list[list[list[int]]] = []
+        # Interned feature ids per position: each distinct token's id
+        # parts are interned once, and a position's ids are its
+        # neighbourhood's parts concatenated in template order
+        # (compose), so they equal the ids of token_features exactly.
+        lengths: list[int] = []
         flat_ids: list[int] = []
         ids_per_token: list[int] = []  # interned-feature count per token
         for tokens in token_seqs:
-            toks = list(tokens)
-            n = len(toks)
-            seq_ids: list[list[int]] = []
-            shapes: list[str] | None = None
+            padded = [edge, edge]
+            for token in tokens:
+                parts = token_ids.get(token)
+                if parts is None:
+                    parts = self._intern_parts(token_parts(token))
+                    token_ids[token] = parts
+                padded.append(parts)
+            padded += (edge, edge)
+            n = len(padded) - 4
+            lengths.append(n)
             for i in range(n):
-                key = (
-                    toks[i - 2] if i >= 2 else None,
-                    toks[i - 1] if i >= 1 else None,
-                    toks[i],
-                    toks[i + 1] if i + 1 < n else None,
-                    toks[i + 2] if i + 2 < n else None,
-                )
-                ids = window_ids.get(key)
-                if ids is None:
-                    if shapes is None:
-                        shapes = [word_shape(t) for t in toks]
-                    ids = [
-                        fid
-                        for f in token_features(toks, i, shapes)
-                        if (fid := feature_ids.get(f)) is not None
-                    ]
-                    window_ids[key] = ids
-                seq_ids.append(ids)
-                flat_ids.extend(ids)
+                ids = compose(padded, i)
+                flat_ids += ids
                 ids_per_token.append(len(ids))
-            ids_per_seq.append(seq_ids)
 
         em_all = np.zeros((len(ids_per_token), K))
         if flat_ids:
@@ -312,8 +322,7 @@ class AveragedPerceptronTagger:
         seq_slices: list = []
         offset = 0
         buckets: dict[int, list[int]] = {}
-        for idx, seq_ids in enumerate(ids_per_seq):
-            n = len(seq_ids)
+        for idx, n in enumerate(lengths):
             seq_slices.append(em_all[offset:offset + n])
             offset += n
             if n == 0:

@@ -79,24 +79,21 @@ def viterbi_decode_batch(
         raise ValueError(f"start shape {start.shape} != ({K},)")
 
     delta = start + emissions[:, 0]  # (N, K)
-    backpointers = np.zeros((N, T, K), dtype=np.int64)
+    backpointers = np.empty((T, N, K), dtype=np.int64)
     for t in range(1, T):
         # scores[n, i, j] = delta[n, i] + transitions[i, j]
         scores = delta[:, :, None] + transitions
         bp = scores.argmax(axis=1)  # (N, K)
-        backpointers[:, t] = bp
+        backpointers[t] = bp
         delta = (
             np.take_along_axis(scores, bp[:, None, :], axis=1)[:, 0, :]
             + emissions[:, t]
         )
 
-    last = delta.argmax(axis=1)
-    paths: list[list[int]] = []
-    for n in range(N):
-        path = [int(last[n])]
-        pointers = backpointers[n]
-        for t in range(T - 1, 0, -1):
-            path.append(int(pointers[t, path[-1]]))
-        path.reverse()
-        paths.append(path)
-    return paths
+    # Backtrack every sequence at once: one gather per step.
+    paths = np.empty((N, T), dtype=np.int64)
+    paths[:, T - 1] = delta.argmax(axis=1)
+    rows = np.arange(N)
+    for t in range(T - 1, 0, -1):
+        paths[:, t - 1] = backpointers[t, rows, paths[:, t]]
+    return paths.tolist()

@@ -120,7 +120,7 @@ from repro.core.estimator import (
     NutritionEstimator,
     RecipeEstimate,
 )
-from repro.deadletter import MAX_INPUT_CHARS, DeadLetterLog
+from repro.deadletter import MAX_INPUT_CHARS, DeadLetterLog, EstimateLineError
 from repro.pipeline.spec import EstimatorSpec
 from repro.pipeline.supervisor import SupervisedWorkerPool, WorkerState
 from repro.pipeline.wire import dumps_estimates, loads_estimates
@@ -730,8 +730,8 @@ class ShardedCorpusEstimator:
 
         Returns the corpus table, ``text -> final estimate`` and the
         ``(text, count)`` line table that was estimated.  Estimate-side
-        dead letters come back re-numbered to per-occurrence corpus
-        positions.
+        dead letters — and a strict run's :class:`EstimateLineError` —
+        come back re-numbered to per-occurrence corpus positions.
         """
         report = self._begin_run()
         run = self._durable_run(source)
@@ -739,7 +739,14 @@ class ShardedCorpusEstimator:
         try:
             table = self._read_table(source, report, titles=titles)
             lines = table.line_table()
-            estimates = self._estimate_table_into(lines, report, run)
+            try:
+                estimates = self._estimate_table_into(lines, report, run)
+            except EstimateLineError as exc:
+                # Name the line's first occurrence, where the
+                # quarantine report's first letter for it would be.
+                raise EstimateLineError(
+                    table.ids.index(exc.line_no), exc.text, exc.error
+                ) from exc.error
         finally:
             if run is not None:
                 run.close()

@@ -15,14 +15,19 @@ the package, as the oracles that pin them:
   estimated as its own ``(text, 1)`` entry, with no interning
   (:func:`estimate_corpus_per_occurrence`).  Its quarantined lines
   dead-letter once per occurrence at their corpus position, the
-  numbering the engine restores from its distinct-line table.
+  numbering the engine restores from its distinct-line table;
+* **per-position features** — the NER feature templates written out
+  for one position at a time (:func:`token_features_reference`), the
+  definition :mod:`repro.ner.features` restates as per-token parts.
 
-``tests/test_columnar_parity.py``, ``tests/test_dedup_parity.py`` and
-``benchmarks/bench_throughput.py`` import these.
+``tests/test_columnar_parity.py``, ``tests/test_dedup_parity.py``,
+``tests/test_ner_token_parts.py`` and ``benchmarks/bench_throughput.py``
+import these.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -37,6 +42,14 @@ from repro.core.estimator import (
 )
 from repro.core.resolution import REASON_ESTIMATOR_ERROR
 from repro.deadletter import DeadLetterLog
+from repro.ner.features import (
+    DF_WORDS,
+    SIZE_WORDS,
+    STATE_WORDS,
+    TEMP_WORDS,
+    UNIT_WORDS,
+    word_shape,
+)
 from repro.recipedb.model import Recipe
 from repro.service import codec
 from repro.units.fallback import UnitFallback, snapshot_digest
@@ -188,3 +201,75 @@ def batch_response_bytes(estimates: Sequence[RecipeEstimate]) -> bytes:
         "count": len(estimates),
         "recipes": [codec.encode_recipe_estimate(e) for e in estimates],
     })
+
+
+# ----------------------------------------------------------------------
+# per-position NER features
+
+_NUM_RE = re.compile(r"^\d+(\.\d+)?$")
+_FRACTION_RE = re.compile(r"^\d+/\d+$")
+
+
+def token_features_reference(
+    tokens: Sequence[str], i: int
+) -> list[str]:
+    """Reference for ``repro.ner.features.token_features``: every
+    template of position *i*, in template order, read off the
+    sequence directly."""
+    shapes = [word_shape(t) for t in tokens]
+    token = tokens[i]
+    lower = token.lower()
+    feats = [
+        f"w={lower}",
+        f"shape={shapes[i]}",
+        f"suf2={lower[-2:]}",
+        f"suf3={lower[-3:]}",
+        f"pre2={lower[:2]}",
+        f"pre3={lower[:3]}",
+    ]
+    if _NUM_RE.match(token):
+        feats.append("is_number")
+    if _FRACTION_RE.match(token):
+        feats.append("is_fraction")
+    if not any(c.isalnum() for c in token):
+        feats.append("is_punct")
+    if "-" in token:
+        feats.append("has_hyphen")
+    if lower in UNIT_WORDS:
+        feats.append("lex=unit")
+    if lower in SIZE_WORDS:
+        feats.append("lex=size")
+    if lower in TEMP_WORDS:
+        feats.append("lex=temp")
+    if lower in DF_WORDS:
+        feats.append("lex=df")
+    if lower in STATE_WORDS:
+        feats.append("lex=state")
+    if lower.endswith("ed"):
+        feats.append("suffix_ed")
+    if lower.endswith("ing"):
+        feats.append("suffix_ing")
+    if lower.endswith("ly"):
+        feats.append("suffix_ly")
+    if i == 0:
+        feats.append("BOS")
+    else:
+        prev = tokens[i - 1].lower()
+        feats.append(f"w-1={prev}")
+        feats.append(f"shape-1={shapes[i - 1]}")
+        if prev in UNIT_WORDS:
+            feats.append("prev_lex=unit")
+        if _NUM_RE.match(tokens[i - 1]) or _FRACTION_RE.match(tokens[i - 1]):
+            feats.append("prev_is_number")
+    if i == len(tokens) - 1:
+        feats.append("EOS")
+    else:
+        nxt = tokens[i + 1].lower()
+        feats.append(f"w+1={nxt}")
+        if nxt in UNIT_WORDS:
+            feats.append("next_lex=unit")
+    if i >= 2:
+        feats.append(f"w-2={tokens[i - 2].lower()}")
+    if i + 2 < len(tokens):
+        feats.append(f"w+2={tokens[i + 2].lower()}")
+    return feats

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -246,7 +247,8 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
 class TestTypedExits:
     """Bad input ends in a documented exit code and a one-line error,
     never a traceback: 2 for usage errors, 65 for ``batch --strict``
-    meeting a corpus line that is not a recipe."""
+    meeting a corpus line that is not a recipe or an ingredient line
+    whose estimation raises."""
 
     @pytest.fixture()
     def bad_corpus(self, tmp_path, capsys):
@@ -299,6 +301,52 @@ class TestTypedExits:
         done = _run_cli("batch", str(bad_corpus), "--strict", "--workers", "2")
         assert done.returncode == 65
         assert f"error: {bad_corpus}:3: not a valid recipe" in done.stdout
+        assert "Traceback" not in done.stderr
+
+    @pytest.fixture()
+    def poisoned_corpus(self, tmp_path, capsys, monkeypatch):
+        """A clean corpus plus a ``raise@estimate-line`` rule for one
+        of its lines; returns the path and the one-line error the
+        strict run must print."""
+        path = tmp_path / "corpus.jsonl"
+        main(["generate", "--recipes", "6", "--seed", "5", "--out", str(path)])
+        capsys.readouterr()
+        flat = [
+            line["text"]
+            for record in map(json.loads, path.read_text().splitlines())
+            for line in record["ingredients"]
+        ]
+        selector = max(
+            (t for t in flat if ":" not in t and ";" not in t), key=len
+        )
+        monkeypatch.setenv("REPRO_FAULTS", f"raise@estimate-line:{selector}")
+        position = next(i for i, t in enumerate(flat) if selector in t)
+        expected = (
+            f"error: {path}: estimate line {position}: {flat[position]!r} "
+            f"(InjectedFault: injected poison line (selector {selector!r}))"
+        )
+        return path, expected
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_batch_estimation_failure_is_data_error(
+        self, poisoned_corpus, capsys, workers
+    ):
+        path, expected = poisoned_corpus
+        code = main(["batch", str(path), "--strict", "--workers", workers])
+        assert code == 65
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == expected
+        assert "kcal/serving" not in captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_batch_estimation_failure_subprocess(
+        self, poisoned_corpus, workers
+    ):
+        path, expected = poisoned_corpus
+        done = _run_cli("batch", str(path), "--strict", "--workers", workers)
+        assert done.returncode == 65
+        assert done.stdout.splitlines()[-1] == expected
         assert "Traceback" not in done.stderr
 
     def test_batch_default_quarantines_bad_line(

@@ -32,6 +32,7 @@ from repro.deadletter import (
     REASON_INVALID_RECIPE,
     REASON_MALFORMED_JSON,
     DeadLetterLog,
+    EstimateLineError,
 )
 from repro.faults import (
     CRASH_EXIT_CODE,
@@ -211,8 +212,36 @@ class TestPoisonLineQuarantine:
             "REPRO_FAULTS", f"raise@estimate-line:{poisoned_text}"
         )
         engine = ShardedCorpusEstimator(workers=1)
-        with pytest.raises(InjectedFault):
+        with pytest.raises(EstimateLineError) as info:
             engine.estimate_table(dict(counts))
+        assert isinstance(info.value.error, InjectedFault)
+        assert info.value.text == poisoned_text
+        assert info.value.line_no == list(counts).index(poisoned_text)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_strict_corpus_run_names_first_occurrence(
+        self, monkeypatch, corpus, poisoned_text, workers
+    ):
+        """A strict corpus run raises with the line's corpus position —
+        the number its first dead letter carries under quarantine."""
+        monkeypatch.setenv(
+            "REPRO_FAULTS", f"raise@estimate-line:{poisoned_text}"
+        )
+        flat = [t for recipe in corpus for t in recipe.ingredient_texts]
+        engine = ShardedCorpusEstimator(workers=workers, chunk_size=29)
+        with pytest.raises(EstimateLineError) as info:
+            engine.estimate_corpus(list(corpus))
+        assert isinstance(info.value.error, InjectedFault)
+        assert info.value.line_no == flat.index(poisoned_text)
+        assert str(info.value) == (
+            f"estimate line {flat.index(poisoned_text)}: "
+            f"{poisoned_text!r} (InjectedFault: injected poison line "
+            f"(selector {poisoned_text!r}))"
+        )
+        quarantined = ShardedCorpusEstimator(workers=1, quarantine=True)
+        quarantined.estimate_corpus(list(corpus))
+        letters = quarantined.last_report.dead_letters.records
+        assert letters[0].line_no == info.value.line_no
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_quarantine_matches_corpus_minus_line(
